@@ -578,13 +578,14 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
                 algo, environment, system, run_seed, target_nodes=params["target_nodes"]
             )
             tree = result.tree
-            coords = tree.coords
-            parents = np.asarray(tree.parents[1:], dtype=int)
-            edges = np.hypot(*(coords[1:] - coords[parents]).T) if len(tree) > 1 else np.array([])
-            mean_edge = float(edges.mean()) if edges.size else float("nan")
+            edges = metrics.edge_lengths(tree)
+            # A tree without edges has no lengths to summarize.
+            mean_edge, min_edge, max_edge = (
+                float(stat(edges)) if edges.size else float("nan") for stat in (np.mean, np.min, np.max)
+            )
             lines.append(
                 f"{name},{run_seed},{result.record.nodes_admitted},"
-                f"{mean_edge!r},{float(edges.min())!r},{float(edges.max())!r}"
+                f"{mean_edge!r},{min_edge!r},{max_edge!r}"
             )
             out[name].append(
                 {"record": result.record, "tree": tree, "mean_edge": mean_edge, "edges": edges}

@@ -8,15 +8,34 @@ Conventions used throughout the package:
   collision, while the workspace bounds are also closed, so lying exactly on
   the outer boundary still counts as inside.
 
-Segment tests are exact slab (Liang-Barsky) interval intersections, not
-sampled approximations, and are vectorized over (segment, obstacle) pairs so
-whole sample databases can be screened at once.
+Segment tests are exact closed slab (Liang-Barsky) interval intersections,
+not sampled approximations, and point tests are exact closed
+point-in-rectangle comparisons. A uniform grid over the bounds (Ericson,
+*Real-Time Collision Detection*, 2004, ch. 7) decides which (segment,
+obstacle) and (point, obstacle) pairs reach those tests:
+
+* each Environment buckets its obstacles into grid cells once, at
+  construction, as a CSR cell -> obstacle table; the cell side is about
+  sqrt(area / obstacle count), capped per axis;
+* a query maps its axis-aligned bounding box to the cells it reaches, takes
+  the obstacles listed there and drops the pairs whose boxes do not overlap;
+  only the survivors run the exact test;
+* a segment's box is padded by a few ulps of the workspace scale, so no pair
+  that the slab formula reports after floating-point rounding is dropped
+  (the cell map is monotone, so overlapping boxes always share a cell);
+* calls of at most a fixed number of rows x obstacles skip the grid and run
+  the same tests as one dense (row, obstacle) broadcast, which is cheaper at
+  that size and is the reference the grid path is tested against.
+
+Only rows that are finite and inside the bounds reach the grid; every other
+row is blocked already.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,27 +121,147 @@ class Environment:
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
         for arr in (bounds, obstacles, x0, xG):
             arr.setflags(write=False)
+        # Derived attribute, set past the frozen guard; not a dataclass field.
+        object.__setattr__(self, "grid", _Grid.build(bounds, obstacles) if obstacles.size else None)
         if not point_free(self, x0):
             raise ValueError("start point x0 is not in free space")
         if not point_free(self, xG):
             raise ValueError("goal point xG is not in free space")
 
 
+# Calls with at most this many rows x obstacles run the dense broadcast; the
+# grid's fixed cost of a few dozen numpy calls only pays off above it.
+_DENSE_MAX_PAIRS = 4096
+
+# Upper bound on the grid's cells per axis, so memory stays bounded however
+# many obstacles a world has.
+_MAX_CELLS_PER_AXIS = 256
+
+
+def _boxes_overlap(box_lo, box_hi, lo, hi) -> np.ndarray:
+    """Closed axis-aligned box overlap, elementwise over broadcast (..., 2) arrays."""
+    return (
+        (box_lo[..., 0] <= hi[..., 0])
+        & (lo[..., 0] <= box_hi[..., 0])
+        & (box_lo[..., 1] <= hi[..., 1])
+        & (lo[..., 1] <= box_hi[..., 1])
+    )
+
+
+def _slab_hit(a, d, lo, hi) -> np.ndarray:
+    """Closed slab test of segments a + t d, t in [0, 1], against boxes lo..hi.
+
+    Elementwise over broadcast (..., 2) arrays. Axis-parallel segments (zero
+    direction component) degenerate to a containment test on that axis;
+    comparisons are closed so grazing contact counts as a hit.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - a) / d
+        t2 = (hi - a) / d
+    tmin = np.minimum(t1, t2)
+    tmax = np.maximum(t1, t2)
+    parallel = d == 0.0
+    in_slab = (a >= lo) & (a <= hi)
+    tmin = np.where(parallel, np.where(in_slab, -np.inf, np.inf), tmin)
+    tmax = np.where(parallel, np.where(in_slab, np.inf, -np.inf), tmax)
+    enter = np.maximum(np.maximum(tmin[..., 0], tmin[..., 1]), 0.0)
+    exit_ = np.minimum(np.minimum(tmax[..., 0], tmax[..., 1]), 1.0)
+    return enter <= exit_
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over paired starts and counts."""
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(int(counts.sum()))
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Uniform grid over the bounds with a CSR cell -> obstacle table.
+
+    Cell (ix, iy) has id iy * nx + ix; entries start[id]:start[id + 1] of lo
+    and hi are the corners of the obstacles reaching into it.
+    """
+
+    origin: np.ndarray  # (2,) lower-left corner of the bounds
+    cell: np.ndarray  # (2,) cell side per axis
+    shape: np.ndarray  # (2,) cells per axis, (nx, ny)
+    pad: float  # segment box margin, covering the slab formula's rounding
+    start: np.ndarray  # (nx * ny + 1,)
+    lo: np.ndarray  # (entries, 2) obstacle lower corners
+    hi: np.ndarray  # (entries, 2) obstacle upper corners
+
+    @classmethod
+    def build(cls, bounds: np.ndarray, obstacles: np.ndarray) -> "_Grid":
+        origin = bounds[:2]
+        size = bounds[2:] - origin
+        side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
+        shape = np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp)
+        # A few ulps of the largest coordinate bound every rounding error of
+        # the slab formula and of the segment pieces on in-bounds segments,
+        # with margin to spare.
+        pad = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(bounds))))
+        lo, hi = obstacles[:, :2], obstacles[:, 2:]
+        grid = cls(origin, size / shape, shape, pad, start=np.zeros(1, np.intp), lo=lo, hi=hi)
+        owner, cells = grid.box_cells(lo, hi)
+        start = np.zeros(int(np.prod(shape)) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cells, minlength=start.size - 1), out=start[1:])
+        owner = owner[np.argsort(cells, kind="stable")]
+        return replace(grid, start=start, lo=np.take(lo, owner, axis=0), hi=np.take(hi, owner, axis=0))
+
+    def cells(self, pts: np.ndarray) -> np.ndarray:
+        """(K, 2) cell coordinates of points, clipped to the grid.
+
+        Monotone in each coordinate, so boxes that overlap share a cell.
+        """
+        t = pts - self.origin
+        t /= self.cell
+        np.clip(t, 0, self.shape - 1, out=t)
+        return t.astype(np.intp)
+
+    def box_cells(self, box_lo: np.ndarray, box_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(box, cell id) for every cell every box reaches into."""
+        lo = self.cells(box_lo)
+        width = self.cells(box_hi) - lo + 1
+        counts = width[:, 0] * width[:, 1]
+        box = np.repeat(np.arange(counts.size), counts)
+        dy, dx = np.divmod(_ranges(np.zeros_like(counts), counts), np.repeat(width[:, 0], counts))
+        nx = self.shape[0]
+        return box, np.repeat(lo[:, 1] * nx + lo[:, 0], counts) + dy * nx + dx
+
+    def pairs(self, row: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, entry) for every obstacle entry listed in each (row, cell)."""
+        first = np.take(self.start, cells)
+        counts = np.take(self.start, cells + 1) - first
+        return np.repeat(row, counts), _ranges(first, counts)
+
+
+def _in_bounds(env: Environment, pts: np.ndarray) -> np.ndarray:
+    b = env.bounds
+    return (pts[:, 0] >= b[0]) & (pts[:, 0] <= b[2]) & (pts[:, 1] >= b[1]) & (pts[:, 1] <= b[3])
+
+
+def _dense(env: Environment, rows: int) -> bool:
+    return env.grid is None or rows * env.obstacles.shape[0] <= _DENSE_MAX_PAIRS
+
+
 def points_free(env: Environment, points) -> np.ndarray:
     """Vector of booleans: inside the closed bounds and outside every closed obstacle."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    b = env.bounds
-    ok = (pts[:, 0] >= b[0]) & (pts[:, 0] <= b[2]) & (pts[:, 1] >= b[1]) & (pts[:, 1] <= b[3])
-    ok &= np.all(np.isfinite(pts), axis=1)
-    if env.obstacles.size:
-        o = env.obstacles
-        inside_any = (
-            (pts[:, 0:1] >= o[None, :, 0])
-            & (pts[:, 0:1] <= o[None, :, 2])
-            & (pts[:, 1:2] >= o[None, :, 1])
-            & (pts[:, 1:2] <= o[None, :, 3])
-        ).any(axis=1)
-        ok &= ~inside_any
+    ok = _in_bounds(env, pts) & np.all(np.isfinite(pts), axis=1)
+    grid = env.grid
+    if grid is None:
+        return ok
+    if _dense(env, pts.shape[0]):
+        p = pts[:, None, :]
+        o = env.obstacles[None]
+        return ok & ~_boxes_overlap(p, p, o[..., :2], o[..., 2:]).any(axis=1)
+    rows = np.flatnonzero(ok)
+    cells = grid.cells(np.take(pts, rows, axis=0))
+    row, entry = grid.pairs(rows, cells[:, 1] * grid.shape[0] + cells[:, 0])
+    p = np.take(pts, row, axis=0)
+    inside = _boxes_overlap(p, p, np.take(grid.lo, entry, axis=0), np.take(grid.hi, entry, axis=0))
+    ok[row[inside]] = False
     return ok
 
 
@@ -131,33 +270,12 @@ def point_free(env: Environment, point) -> bool:
 
 
 def _segments_hit_rects(a: np.ndarray, b: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """True per segment if the closed segment a->b meets any closed rectangle.
-
-    Slab test on the parametrization a + t (b - a), t in [0, 1]. Axis-parallel
-    segments (zero direction component) degenerate to a containment test on
-    that axis; comparisons are closed so grazing contact counts as a hit.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    """True per segment if the closed segment a->b meets any closed rectangle (dense)."""
     if rects.size == 0:
         return np.zeros(a.shape[0], dtype=bool)
-    d = b - a
-    lo = rects[None, :, (0, 1)]  # (1, O, 2)
-    hi = rects[None, :, (2, 3)]
-    a_ = a[:, None, :]
-    d_ = d[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - a_) / d_
-        t2 = (hi - a_) / d_
-    tmin = np.minimum(t1, t2)
-    tmax = np.maximum(t1, t2)
-    parallel = d_ == 0.0
-    in_slab = (a_ >= lo) & (a_ <= hi)
-    tmin = np.where(parallel, np.where(in_slab, -np.inf, np.inf), tmin)
-    tmax = np.where(parallel, np.where(in_slab, np.inf, -np.inf), tmax)
-    enter = np.maximum(np.maximum(tmin[..., 0], tmin[..., 1]), 0.0)
-    exit_ = np.minimum(np.minimum(tmax[..., 0], tmax[..., 1]), 1.0)
-    return (enter <= exit_).any(axis=1)
+    with np.errstate(invalid="ignore"):  # non-finite rows are blocked by the caller
+        d = b - a
+    return _slab_hit(a[:, None, :], d[:, None, :], rects[None, :, (0, 1)], rects[None, :, (2, 3)]).any(axis=1)
 
 
 def segments_free(env: Environment, a, b) -> np.ndarray:
@@ -169,12 +287,32 @@ def segments_free(env: Environment, a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    bd = env.bounds
-    ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1)
-    for pts in (a, b):
-        ok &= (pts[:, 0] >= bd[0]) & (pts[:, 0] <= bd[2]) & (pts[:, 1] >= bd[1]) & (pts[:, 1] <= bd[3])
-    hit = _segments_hit_rects(a, b, env.obstacles)
-    return ok & ~hit
+    ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1) & _in_bounds(env, a) & _in_bounds(env, b)
+    if _dense(env, a.shape[0]):
+        return ok & ~_segments_hit_rects(a, b, env.obstacles)
+    grid = env.grid
+    rows = np.flatnonzero(ok)
+    a = np.take(a, rows, axis=0)
+    d = np.take(b, rows, axis=0) - a
+    # Each segment is covered by pieces at most one cell long, so its
+    # candidates grow with its length rather than with the length squared.
+    span = np.abs(d) / grid.cell
+    pieces = np.maximum(np.ceil(np.maximum(span[:, 0], span[:, 1])), 1.0)
+    counts = pieces.astype(np.intp)
+    piece_row = np.repeat(np.arange(rows.size), counts)
+    step = np.repeat(d / pieces[:, None], counts, axis=0)
+    p0 = np.repeat(a, counts, axis=0) + _ranges(np.zeros_like(counts), counts)[:, None] * step
+    p1 = p0 + step
+    box_lo = np.minimum(p0, p1) - grid.pad
+    box_hi = np.maximum(p0, p1) + grid.pad
+    piece, entry = grid.pairs(*grid.box_cells(box_lo, box_hi))
+    lo, hi = np.take(grid.lo, entry, axis=0), np.take(grid.hi, entry, axis=0)
+    near = np.flatnonzero(_boxes_overlap(np.take(box_lo, piece, axis=0), np.take(box_hi, piece, axis=0), lo, hi))
+    row = np.take(piece_row, np.take(piece, near))
+    lo, hi = np.take(lo, near, axis=0), np.take(hi, near, axis=0)
+    hit = _slab_hit(np.take(a, row, axis=0), np.take(d, row, axis=0), lo, hi)
+    ok[np.take(rows, row[hit])] = False
+    return ok
 
 
 def segment_free(env: Environment, a, b) -> bool:

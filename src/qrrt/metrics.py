@@ -29,6 +29,7 @@ __all__ = [
     "count_in_region",
     "oracle_efficiency",
     "slope_fit",
+    "edge_lengths",
     "mean_edge_length",
     "RECORD_CSV_COLUMNS",
     "records_to_csv_lines",
@@ -213,14 +214,19 @@ def slope_fit(points) -> tuple[float, float]:
     return slope, float(y.mean() - slope * xbar)
 
 
+def edge_lengths(tree: _planner.Tree) -> np.ndarray:
+    """Parent-to-node distance of every non-root node, in insertion order."""
+    coords = tree.coords
+    parents = np.asarray(tree.parents[1:], dtype=int)
+    diffs = coords[1:] - coords[parents]
+    return np.hypot(diffs[:, 0], diffs[:, 1])
+
+
 def mean_edge_length(tree: _planner.Tree) -> float:
     """Mean parent-to-node distance over all non-root nodes."""
     if len(tree) < 2:
         raise ValueError("tree has no edges")
-    coords = tree.coords
-    parents = np.asarray(tree.parents[1:], dtype=int)
-    diffs = coords[1:] - coords[parents]
-    return float(np.mean(np.hypot(diffs[:, 0], diffs[:, 1])))
+    return float(np.mean(edge_lengths(tree)))
 
 
 # ---------------------------------------------------------------------------

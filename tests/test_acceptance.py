@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every verdict line;
 without -s the lines still appear for any failing criterion.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -261,15 +262,51 @@ def _rows_without_wall_time(path: Path) -> list[list[str]]:
     return rows
 
 
+# The four recipes at small overrides: (name, function, overrides, seed base).
+SMALL_RECIPES = (
+    ("slopes", bench_slopes, dict(envs=3, target_nodes=6, n=6), 9001),
+    ("heatmap", bench_heatmap, dict(trials=4, cutoff=6, n=6), 9002),
+    ("corridor", bench_corridor, dict(trials=4, cutoff=10, n=6), 9003),
+    ("annealing", bench_annealing, dict(trees=1, target_nodes=6, n=6), 9004),
+)
+
+# sha256 of every artifact of SMALL_RECIPES, CSVs with the wall_s column
+# stripped. Any change of these is a change of the seeded planner output.
+GOLDEN_DIGESTS = {
+    "slopes/runs.csv": "b2bd8acb9af4ee74de45402602161bb0b9612893eb2f2f457122280406127eef",
+    "slopes/slope_points.csv": "2339d56c60643a8499604bba41511b43a6eca304b8669d2db4fa549318b3b1fa",
+    "slopes/slopes.csv": "d17e6cc873b60fd7626f1cddf9877ee670a0b319b0b0b7cabdb0aac07bf6c561",
+    "heatmap/heatmap_qrrt.csv": "15a14cb8c868458608143cd72b83060d7f12209b86b5e083d7d69954d51938da",
+    "heatmap/heatmap_qrrt.pgm": "ff76685568de267693acfc8ca265e5ffc48e649b3dc50d76bfc0840997dbc01d",
+    "heatmap/heatmap_rrt.csv": "ff8e5f352f9e674d0463fcc1452dd982e67530b4a2fd16205df70adc18a6da53",
+    "heatmap/heatmap_rrt.pgm": "ebe8c0b5a001b1e5e99e95205f8a7e13c094417fd6c29dd25c217f9ddc0aa438",
+    "heatmap/summary.csv": "a3a61cf0ccc72dcdec96ea73a2fd62d7808d6cf76acd4acd72d7f9481db2dc41",
+    "corridor/corridor.csv": "36126c7de7af6bf7efbc2a233db5befa276f4643156478fe9c120341b9bed802",
+    "annealing/annealing.csv": "27971544fc35a30d93f95ba17855de82d9b1149cb60841b51c9e07a3a900177f",
+}
+
+
+def _artifact_digest(path: Path) -> str:
+    if path.suffix == ".csv":
+        data = "\n".join(",".join(row) for row in _rows_without_wall_time(path)).encode()
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_bench_recipe_artifacts_match_golden_digests(tmp_path):
+    digests = {}
+    for name, fn, overrides, seed_base in SMALL_RECIPES:
+        out = tmp_path / name
+        fn(str(out), seed_base, **overrides)
+        digests.update({f"{name}/{p.name}": _artifact_digest(p) for p in out.iterdir()})
+    changed = sorted(k for k in GOLDEN_DIGESTS.keys() | digests.keys() if digests.get(k) != GOLDEN_DIGESTS.get(k))
+    assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
 def test_criterion_11_bench_recipes_are_deterministic(tmp_path):
-    recipes = (
-        ("slopes", bench_slopes, dict(envs=3, target_nodes=6, n=6), 9001),
-        ("heatmap", bench_heatmap, dict(trials=4, cutoff=6, n=6), 9002),
-        ("corridor", bench_corridor, dict(trials=4, cutoff=10, n=6), 9003),
-        ("annealing", bench_annealing, dict(trees=1, target_nodes=6, n=6), 9004),
-    )
     mismatches = []
-    for name, fn, overrides, seed_base in recipes:
+    for name, fn, overrides, seed_base in SMALL_RECIPES:
         dirs = []
         for run in ("a", "b"):
             out = tmp_path / f"{name}-{run}"

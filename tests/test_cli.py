@@ -534,6 +534,19 @@ def test_bench_annealing_tiny(tmp_path):
     assert {r[0] for r in rows[1:]} == {"qda", "qrrt"}
 
 
+def test_bench_annealing_tree_without_edges(tmp_path):
+    out = tmp_path / "annealing"
+    rc = main(
+        ["bench", "annealing", "--seed-base", "7", "--out", str(out), "--trees", "1", "--target-nodes", "0"]
+    )
+    assert rc == 0
+    rows = read_csv(out / "annealing.csv")
+    assert rows[0] == ["algorithm", "seed", "nodes", "mean_edge", "min_edge", "max_edge"]
+    for row in rows[1:]:
+        assert row[2] == "0"
+        assert row[3:] == ["nan", "nan", "nan"]
+
+
 def test_bench_deterministic(tmp_path):
     outs = []
     for name in ("h1", "h2"):

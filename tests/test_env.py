@@ -204,6 +204,111 @@ def test_segment_batch_agrees_with_dense_sampling(box_env, rng):
 
 
 # ---------------------------------------------------------------------------
+# Grid broadphase against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _random_world(count, seed):
+    """count obstacles in offset, non-square bounds; about a tenth touch an outer edge."""
+    rng = np.random.default_rng(seed)
+    corner = rng.uniform(-5.0, 5.0, 2)
+    top = corner + rng.uniform(10.0, 30.0, 2)
+    side = math.sqrt(np.prod(top - corner) / max(count, 1))
+    size = rng.uniform(0.1, 0.7, (count, 2)) * side
+    lo = rng.uniform(corner, top - size)
+    hi = np.minimum(lo + size, top)
+    for i in np.flatnonzero(rng.random(count) < 0.1):
+        axis, upper = rng.integers(2), rng.integers(2)
+        if upper:
+            lo[i, axis], hi[i, axis] = top[axis] - size[i, axis], top[axis]
+        else:
+            lo[i, axis], hi[i, axis] = corner[axis], corner[axis] + size[i, axis]
+    obstacles = np.hstack([lo, hi])
+    cand = rng.uniform(corner, top, (500, 2))
+    inside = ((cand[:, None] >= obstacles[None, :, :2]) & (cand[:, None] <= obstacles[None, :, 2:])).all(-1)
+    x0, xg = cand[~inside.any(axis=1)][:2]
+    return Environment(bounds=np.hstack([corner, top]), obstacles=obstacles, x0=x0, xG=xg, delta=0.5)
+
+
+def _nudge(pts, rng):
+    """Each coordinate moved 1-3 ulps up or down."""
+    out = pts.copy()
+    steps = rng.integers(1, 4, out.shape)
+    toward = np.where(rng.random(out.shape) < 0.5, -np.inf, np.inf)
+    for k in range(1, 4):
+        out = np.where(steps >= k, np.nextafter(out, toward), out)
+    return out
+
+
+def _probe_points(env, rng):
+    """Obstacle corners and edge points, exact and 1-3 ulps off; cell boundaries;
+    random points inside, outside and far outside the bounds; non-finite points."""
+    o = env.obstacles[rng.permutation(env.obstacles.shape[0])[:100]]
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    along = rng.random((o.shape[0], 1))
+    special = np.vstack(
+        [
+            o[:, [0, 1]], o[:, [2, 1]], o[:, [0, 3]], o[:, [2, 3]],
+            np.column_stack([o[:, 0] + along[:, 0] * (o[:, 2] - o[:, 0]), o[:, 1]]),
+            np.column_stack([o[:, 2], o[:, 1] + along[:, 0] * (o[:, 3] - o[:, 1])]),
+            env.bounds[[[0, 1], [2, 3], [0, 3], [2, 1]]],
+        ]
+    )
+    parts = [special, _nudge(special, rng), _nudge(special, rng), rng.uniform(lo, hi, (400, 2))]
+    if env.grid is not None:
+        cells = rng.integers(0, env.grid.shape + 1, (200, 2))
+        parts.append(env.grid.origin + cells * env.grid.cell)
+    parts.append(rng.uniform(lo - 3.0, hi + 3.0, (200, 2)))
+    parts.append(rng.choice([-1e6, 1e6], (20, 2)) * rng.random((20, 2)) + rng.uniform(lo, hi, (20, 2)))
+    bad = rng.uniform(lo, hi, (9, 2))
+    bad[np.arange(9), np.arange(9) % 2] = np.tile([np.nan, np.inf, -np.inf], 3)
+    parts.append(bad)
+    return np.vstack(parts)
+
+
+def _probe_segments(env, pts, rng):
+    """Segments from every probe point: random directions short and long,
+    axis-parallel, zero-length, ending on another probe point, and sliding
+    along obstacle edges at 0 and 1-3 ulps off."""
+    n = pts.shape[0]
+    span = env.bounds[2:] - env.bounds[:2]
+    length = np.where(rng.random((n, 1)) < 0.7, 0.05, 1.0) * span.max() * rng.random((n, 1))
+    heading = rng.normal(size=(n, 2))
+    heading /= np.linalg.norm(heading, axis=1, keepdims=True)
+    axis_parallel = pts.copy()
+    axis_parallel[np.arange(n), rng.integers(0, 2, n)] += rng.normal(0.0, 2.0, n)
+    starts = [pts, pts, pts, pts]
+    ends = [pts + length * heading, axis_parallel, pts.copy(), pts[rng.permutation(n)]]
+    o = env.obstacles[:100]
+    if o.size:
+        reach = rng.uniform(0.0, 1.0, o.shape[0])
+        slide_a = np.column_stack([o[:, 0] - reach, o[:, 3]])
+        slide_b = np.column_stack([o[:, 2] + reach, o[:, 3]])
+        starts += [slide_a, _nudge(slide_a, rng)]
+        ends += [slide_b, _nudge(slide_b, rng)]
+    return np.vstack(starts), np.vstack(ends)
+
+
+@pytest.mark.parametrize("count, seed", [(0, 1), (1, 2), (45, 3), (45, 4), (2000, 5)])
+def test_grid_broadphase_matches_dense_reference(count, seed, monkeypatch):
+    env = _random_world(count, seed)
+    rng = np.random.default_rng(seed)
+    pts = _probe_points(env, rng)
+    a, b = _probe_segments(env, pts, rng)
+
+    def dense(fn, *arrays):
+        with monkeypatch.context() as m:
+            m.setattr(envmod, "_DENSE_MAX_PAIRS", math.inf)
+            return np.concatenate([fn(env, *(x[i : i + 100] for x in arrays)) for i in range(0, arrays[0].shape[0], 100)])
+
+    monkeypatch.setattr(envmod, "_DENSE_MAX_PAIRS", 0)
+    assert np.array_equal(points_free(env, pts), dense(points_free, pts))
+    assert np.array_equal(segments_free(env, a, b), dense(segments_free, a, b))
+    # The probes must exercise both outcomes.
+    assert count == 0 or 0 < segments_free(env, a, b).mean() < 1
+
+
+# ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from qrrt.metrics import (
     accumulate_heatmap,
     count_in_region,
     cutoff_run,
+    edge_lengths,
     mean_edge_length,
     oracle_efficiency,
     records_to_csv_lines,
@@ -256,9 +257,11 @@ def test_mean_edge_length():
     assert mean_edge_length(tree) == pytest.approx(2.0, abs=1e-12)
     tree.add((2.0, 3.0), 1)
     assert mean_edge_length(tree) == pytest.approx(2.5, abs=1e-12)
+    assert edge_lengths(tree).tolist() == [2.0, 3.0]
 
 
 def test_mean_edge_length_requires_edges():
+    assert edge_lengths(Tree((0.0, 0.0))).shape == (0,)
     with pytest.raises(ValueError):
         mean_edge_length(Tree((0.0, 0.0)))
 

@@ -1,10 +1,12 @@
 """Tree mechanics, database construction/tagging, schedules and the sequential planners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qrrt.dynamics import default_system, reachable
-from qrrt.env import Environment
+from qrrt.env import Environment, GeneratorSpec, generate_random_env
 from qrrt.planner import (
     MAX_DATABASE_EXPONENT,
     Database,
@@ -225,6 +227,22 @@ def test_tag_database_can_yield_empty_mask(box_env, system):
 # ---------------------------------------------------------------------------
 # Temperature schedule
 # ---------------------------------------------------------------------------
+
+
+def test_tag_database_memory_is_bounded_on_dense_world(system):
+    # The bench annealing world: 2000 obstacles on 30x30. An annealed n=11
+    # database must not cost memory in proportion to rows x obstacles.
+    spec = GeneratorSpec(bounds=(0.0, 0.0, 30.0, 30.0), obstacle_count=2000, size_range=(0.15, 0.45), delta=0.3)
+    env = generate_random_env(spec, 7)
+    schedule = TemperatureSchedule.from_config(((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    db = build_database_annealed(env, Tree(env.x0), 11, schedule, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        tag_database(env, system, db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"tag_database peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_schedule_stage_lookup_by_cumulative_duration():
