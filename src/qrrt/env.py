@@ -23,6 +23,9 @@ obstacle) and (point, obstacle) pairs reach those tests:
 * a segment's box is padded by a few ulps of the workspace scale, so no pair
   that the slab formula reports after floating-point rounding is dropped
   (the cell map is monotone, so overlapping boxes always share a cell);
+* in a batch holding segments many cells long, each segment's box is
+  replaced by the boxes of pieces at most one cell long, so its candidates
+  grow with its length rather than with the length squared;
 * calls of at most a fixed number of rows x obstacles skip the grid and run
   the same tests as one dense (row, obstacle) broadcast, which is cheaper at
   that size and is the reference the grid path is tested against.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class Environment:
         for arr in (bounds, obstacles, x0, xG):
             arr.setflags(write=False)
         # Derived attribute, set past the frozen guard; not a dataclass field.
-        object.__setattr__(self, "grid", _Grid.build(bounds, obstacles) if obstacles.size else None)
+        object.__setattr__(self, "grid", _Grid(bounds, obstacles) if obstacles.size else None)
         if not point_free(self, x0):
             raise ValueError("start point x0 is not in free space")
         if not point_free(self, xG):
@@ -130,8 +133,21 @@ class Environment:
 
 
 # Calls with at most this many rows x obstacles run the dense broadcast; the
-# grid's fixed cost of a few dozen numpy calls only pays off above it.
-_DENSE_MAX_PAIRS = 4096
+# grid's fixed cost of a few dozen numpy calls only pays off above it. A
+# dense point pair is several times cheaper than a segment pair, so points
+# cross over later. Measured crossovers, on worlds of 2000 and of 45
+# obstacles: about 4000 and 6500 pairs for segments, 6500 and 10500 for
+# points.
+_DENSE_MAX_SEGMENT_PAIRS = 4096
+_DENSE_MAX_POINT_PAIRS = 8192
+
+# A segment s cells long reaches up to (s + 1)^2 cells through its bounding
+# box but only about 4s through pieces at most one cell long. Splitting costs
+# several extra passes over every row of the batch, so it runs only on
+# batches holding a segment that spans more than this many cells on an axis,
+# where the saved candidates pay for it (uniform databases grown from a
+# small tree).
+_SPLIT_MIN_CELLS = 4
 
 # Upper bound on the grid's cells per axis, so memory stays bounded however
 # many obstacles a world has.
@@ -175,7 +191,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(shift, counts) + np.arange(int(counts.sum()))
 
 
-@dataclass(frozen=True)
 class _Grid:
     """Uniform grid over the bounds with a CSR cell -> obstacle table.
 
@@ -183,31 +198,23 @@ class _Grid:
     and hi are the corners of the obstacles reaching into it.
     """
 
-    origin: np.ndarray  # (2,) lower-left corner of the bounds
-    cell: np.ndarray  # (2,) cell side per axis
-    shape: np.ndarray  # (2,) cells per axis, (nx, ny)
-    pad: float  # segment box margin, covering the slab formula's rounding
-    start: np.ndarray  # (nx * ny + 1,)
-    lo: np.ndarray  # (entries, 2) obstacle lower corners
-    hi: np.ndarray  # (entries, 2) obstacle upper corners
-
-    @classmethod
-    def build(cls, bounds: np.ndarray, obstacles: np.ndarray) -> "_Grid":
-        origin = bounds[:2]
-        size = bounds[2:] - origin
+    def __init__(self, bounds: np.ndarray, obstacles: np.ndarray):
+        self.origin = bounds[:2]  # lower-left corner of the bounds
+        size = bounds[2:] - self.origin
         side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
-        shape = np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp)
-        # A few ulps of the largest coordinate bound every rounding error of
-        # the slab formula and of the segment pieces on in-bounds segments,
-        # with margin to spare.
-        pad = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(bounds))))
+        self.shape = np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp)  # (nx, ny)
+        self.cell = size / self.shape  # cell side per axis
+        # Segment box margin: a few ulps of the largest coordinate bound every
+        # rounding error of the slab formula and of the segment pieces on
+        # in-bounds segments, with margin to spare.
+        self.pad = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(bounds))))
         lo, hi = obstacles[:, :2], obstacles[:, 2:]
-        grid = cls(origin, size / shape, shape, pad, start=np.zeros(1, np.intp), lo=lo, hi=hi)
-        owner, cells = grid.box_cells(lo, hi)
-        start = np.zeros(int(np.prod(shape)) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cells, minlength=start.size - 1), out=start[1:])
+        owner, cells = self.box_cells(lo, hi)
+        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cells, minlength=self.start.size - 1), out=self.start[1:])
         owner = owner[np.argsort(cells, kind="stable")]
-        return replace(grid, start=start, lo=np.take(lo, owner, axis=0), hi=np.take(hi, owner, axis=0))
+        self.lo = np.take(lo, owner, axis=0)  # (entries, 2) obstacle lower corners
+        self.hi = np.take(hi, owner, axis=0)  # (entries, 2) obstacle upper corners
 
     def cells(self, pts: np.ndarray) -> np.ndarray:
         """(K, 2) cell coordinates of points, clipped to the grid.
@@ -241,8 +248,8 @@ def _in_bounds(env: Environment, pts: np.ndarray) -> np.ndarray:
     return (pts[:, 0] >= b[0]) & (pts[:, 0] <= b[2]) & (pts[:, 1] >= b[1]) & (pts[:, 1] <= b[3])
 
 
-def _dense(env: Environment, rows: int) -> bool:
-    return env.grid is None or rows * env.obstacles.shape[0] <= _DENSE_MAX_PAIRS
+def _dense(env: Environment, rows: int, max_pairs: int) -> bool:
+    return env.grid is None or rows * env.obstacles.shape[0] <= max_pairs
 
 
 def points_free(env: Environment, points) -> np.ndarray:
@@ -252,7 +259,7 @@ def points_free(env: Environment, points) -> np.ndarray:
     grid = env.grid
     if grid is None:
         return ok
-    if _dense(env, pts.shape[0]):
+    if _dense(env, pts.shape[0], _DENSE_MAX_POINT_PAIRS):
         p = pts[:, None, :]
         o = env.obstacles[None]
         return ok & ~_boxes_overlap(p, p, o[..., :2], o[..., 2:]).any(axis=1)
@@ -288,27 +295,29 @@ def segments_free(env: Environment, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1) & _in_bounds(env, a) & _in_bounds(env, b)
-    if _dense(env, a.shape[0]):
+    if _dense(env, a.shape[0], _DENSE_MAX_SEGMENT_PAIRS):
         return ok & ~_segments_hit_rects(a, b, env.obstacles)
     grid = env.grid
     rows = np.flatnonzero(ok)
-    a = np.take(a, rows, axis=0)
-    d = np.take(b, rows, axis=0) - a
-    # Each segment is covered by pieces at most one cell long, so its
-    # candidates grow with its length rather than with the length squared.
+    a, b = np.take(a, rows, axis=0), np.take(b, rows, axis=0)
+    d = b - a
+    p0, p1, piece_row = a, b, None
     span = np.abs(d) / grid.cell
-    pieces = np.maximum(np.ceil(np.maximum(span[:, 0], span[:, 1])), 1.0)
-    counts = pieces.astype(np.intp)
-    piece_row = np.repeat(np.arange(rows.size), counts)
-    step = np.repeat(d / pieces[:, None], counts, axis=0)
-    p0 = np.repeat(a, counts, axis=0) + _ranges(np.zeros_like(counts), counts)[:, None] * step
-    p1 = p0 + step
+    if np.any(span > _SPLIT_MIN_CELLS):
+        # Cover each segment by pieces at most one cell long.
+        counts = np.maximum(np.ceil(span.max(axis=1)), 1.0).astype(np.intp)
+        piece_row = np.repeat(np.arange(rows.size), counts)
+        step = np.repeat(d / counts[:, None], counts, axis=0)
+        p0 = np.take(a, piece_row, axis=0) + _ranges(np.zeros_like(counts), counts)[:, None] * step
+        p1 = p0 + step
     box_lo = np.minimum(p0, p1) - grid.pad
     box_hi = np.maximum(p0, p1) + grid.pad
     piece, entry = grid.pairs(*grid.box_cells(box_lo, box_hi))
     lo, hi = np.take(grid.lo, entry, axis=0), np.take(grid.hi, entry, axis=0)
     near = np.flatnonzero(_boxes_overlap(np.take(box_lo, piece, axis=0), np.take(box_hi, piece, axis=0), lo, hi))
-    row = np.take(piece_row, np.take(piece, near))
+    row = np.take(piece, near)
+    if piece_row is not None:
+        row = np.take(piece_row, row)
     lo, hi = np.take(lo, near, axis=0), np.take(hi, near, axis=0)
     hit = _slab_hit(np.take(a, row, axis=0), np.take(d, row, axis=0), lo, hi)
     ok[np.take(rows, row[hit])] = False

@@ -289,8 +289,13 @@ def _probe_segments(env, pts, rng):
     return np.vstack(starts), np.vstack(ends)
 
 
+LIMITS = ("_DENSE_MAX_SEGMENT_PAIRS", "_DENSE_MAX_POINT_PAIRS")
+
+
+@pytest.mark.parametrize("split_min_cells", [0, math.inf])
 @pytest.mark.parametrize("count, seed", [(0, 1), (1, 2), (45, 3), (45, 4), (2000, 5)])
-def test_grid_broadphase_matches_dense_reference(count, seed, monkeypatch):
+def test_grid_broadphase_matches_dense_reference(count, seed, split_min_cells, monkeypatch):
+    monkeypatch.setattr(envmod, "_SPLIT_MIN_CELLS", split_min_cells)
     env = _random_world(count, seed)
     rng = np.random.default_rng(seed)
     pts = _probe_points(env, rng)
@@ -298,12 +303,15 @@ def test_grid_broadphase_matches_dense_reference(count, seed, monkeypatch):
 
     def dense(fn, *arrays):
         with monkeypatch.context() as m:
-            m.setattr(envmod, "_DENSE_MAX_PAIRS", math.inf)
+            for limit in LIMITS:
+                m.setattr(envmod, limit, math.inf)
             return np.concatenate([fn(env, *(x[i : i + 100] for x in arrays)) for i in range(0, arrays[0].shape[0], 100)])
 
-    monkeypatch.setattr(envmod, "_DENSE_MAX_PAIRS", 0)
+    for limit in LIMITS:
+        monkeypatch.setattr(envmod, limit, 0)
     assert np.array_equal(points_free(env, pts), dense(points_free, pts))
     assert np.array_equal(segments_free(env, a, b), dense(segments_free, a, b))
+    assert not segments_free(env, a + 1e6, b + 1e6).any()
     # The probes must exercise both outcomes.
     assert count == 0 or 0 < segments_free(env, a, b).mean() < 1
 
