@@ -29,7 +29,13 @@ are complementary within pG^2; the tests pin both identities.
 
 The Monte Carlo helpers replay the draw process literally on a relabeled
 index set (goods first, then bads) and tally the same three statistics, so
-every closed form above has an independent numerical check.
+every closed form above has an independent numerical check. The tallies
+read each round's draws once sorted (all-same, all-distinct and, for the
+exact oracle, all-solution follow from the sorted row's ends and adjacent
+pairs), and coverage keeps a per-episode count of distinct coupons seen, so
+an episode's draw count is the round in which that count reaches the
+number of coupons. How the draws are tallied never changes which random
+numbers are drawn, and ``tests/test_prob.py`` pins seeded statistics.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .qsim import MAX_DATABASE_QUBITS
 
 __all__ = [
     "ParallelSearchModel",
@@ -56,9 +64,6 @@ __all__ = [
     "aggregate_stats",
 ]
 
-_MAX_N = 20
-
-
 @dataclass(frozen=True)
 class ParallelSearchModel:
     """Exact-oracle parallel search: n qubits, m good entries, p workers, pG."""
@@ -69,8 +74,8 @@ class ParallelSearchModel:
     pG: float
 
     def __post_init__(self):
-        if not (1 <= self.n <= _MAX_N):
-            raise ValueError(f"n must be in [1, {_MAX_N}], got {self.n}")
+        if not (1 <= self.n <= MAX_DATABASE_QUBITS):
+            raise ValueError(f"n must be in [1, {MAX_DATABASE_QUBITS}], got {self.n}")
         if not (0 <= self.m <= 2**self.n):
             raise ValueError(f"m must be in [0, 2^{self.n}], got {self.m}")
         if not (self.p >= 1):
@@ -89,8 +94,8 @@ class NoisyOracleModel:
     m2: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= _MAX_N):
-            raise ValueError(f"n must be in [1, {_MAX_N}], got {self.n}")
+        if not (1 <= self.n <= MAX_DATABASE_QUBITS):
+            raise ValueError(f"n must be in [1, {MAX_DATABASE_QUBITS}], got {self.n}")
         if not (0 < self.m < 2**self.n):
             raise ValueError(f"m must satisfy 0 < m < 2^{self.n}, got {self.m}")
         if not (0 <= self.m1 <= self.m):
@@ -247,24 +252,25 @@ def _tally(n, m, p, pG, trials, rng, sol_good, sol_bad_lo, sol_bad_hi):
     """Count all-same-solution and all-distinct-solution rows over the trials.
 
     Solutions are indices < sol_good plus indices in [sol_bad_lo, sol_bad_hi);
-    the plain model passes sol_good = m and an empty bad interval.
+    the plain model passes sol_good = m and an empty bad interval. Each row
+    is sorted once: it is all-same when its ends agree, all-distinct when no
+    adjacent pair does, and (plain model) all-solution when its largest
+    index is below sol_good.
     """
     count_same = 0
     count_diff = 0
     done = 0
     while done < trials:
         rows = min(_DRAW_CHUNK, trials - done)
-        idx = _draw_chunk(n, m, pG, rows, p, rng)
-        is_sol = (idx < sol_good) | ((idx >= sol_bad_lo) & (idx < sol_bad_hi))
-        all_sol = is_sol.all(axis=1)
-        same = (idx == idx[:, :1]).all(axis=1)
-        count_same += int(np.count_nonzero(same & all_sol))
-        if p == 1:
-            count_diff += int(np.count_nonzero(all_sol))
+        srt = np.sort(_draw_chunk(n, m, pG, rows, p, rng), axis=1)
+        if sol_bad_lo == sol_bad_hi:
+            all_sol = srt[:, -1] < sol_good
         else:
-            srt = np.sort(idx, axis=1)
-            distinct = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-            count_diff += int(np.count_nonzero(distinct & all_sol))
+            all_sol = ((srt < sol_good) | ((srt >= sol_bad_lo) & (srt < sol_bad_hi))).all(axis=1)
+        count_same += int(np.count_nonzero(all_sol & (srt[:, 0] == srt[:, -1])))
+        for j in range(1, p):
+            all_sol = all_sol & (srt[:, j] != srt[:, j - 1])
+        count_diff += int(np.count_nonzero(all_sol))
         done += rows
     return count_same, count_diff
 
@@ -280,8 +286,11 @@ def _coupon_draws_total(num_coupons, success_prob, episodes, rng):
         raise ValueError("coverage simulation diverges for success probability 0")
     if num_coupons == 0:
         return 0, 0
+    # An episode completes in the round its count of distinct coupons reaches
+    # num_coupons, and it draws once in every round up to that one.
     remaining = np.arange(episodes)
     seen = np.zeros((episodes, num_coupons), dtype=bool)
+    distinct = np.zeros(episodes, dtype=np.int64)
     draws = np.zeros(episodes, dtype=np.int64)
     rounds = 0
     while remaining.size:
@@ -291,11 +300,15 @@ def _coupon_draws_total(num_coupons, success_prob, episodes, rng):
         k = remaining.size
         hit = rng.random(k) < success_prob
         coupons = rng.integers(0, num_coupons, size=k)
-        draws[remaining] += 1
-        rows = remaining[hit]
-        seen[rows, coupons[hit]] = True
-        complete = seen[remaining].all(axis=1)
-        remaining = remaining[~complete]
+        rows, coupons = remaining[hit], coupons[hit]
+        new = ~seen[rows, coupons]
+        rows, coupons = rows[new], coupons[new]
+        seen[rows, coupons] = True
+        distinct[rows] += 1
+        complete = distinct[rows] == num_coupons
+        if complete.any():
+            draws[rows[complete]] = rounds
+            remaining = remaining[distinct[remaining] < num_coupons]
     return int(draws.sum()), int(np.sum(draws * draws))
 
 

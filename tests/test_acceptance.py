@@ -46,7 +46,7 @@ def test_criterion_01_closed_form_matches_statevector():
                 p_state = float(np.sum(state.amplitudes[mask] ** 2))
                 p_closed = qsim.good_probability(n, int(m), k)
                 worst = max(worst, abs(p_state - p_closed))
-                state = qsim.amplify(state, 1)
+                state = qsim.grover_iterate(state)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 60.0
     _report(1, ok, f"max |closed - statevector| = {worst:.3e} over n<=12, k<=30 in {elapsed:.1f}s")

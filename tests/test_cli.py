@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qrrt
 from qrrt import env as envmod
 from qrrt.cli import ANALYZE_COLUMNS, main
 from qrrt.metrics import RECORD_CSV_COLUMNS
@@ -49,6 +53,22 @@ def read_csv(path):
 def strip_wall_time(path):
     rows = read_csv(path)
     return [r[:-1] for r in rows]
+
+
+def test_module_entry_point_runs_without_warnings():
+    # Running the cli module as __main__ must not find it already imported
+    # by the package, which makes runpy warn on every run.
+    src = str(Path(qrrt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qrrt.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "analyze" in done.stdout
 
 
 # ---------------------------------------------------------------------------

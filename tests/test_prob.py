@@ -1,11 +1,13 @@
 """Closed-form worker-collision/coverage formulas and their Monte Carlo oracles."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qrrt.cli import _analyze_grid
 from qrrt.prob import (
     MonteCarloStats,
     NoisyOracleModel,
@@ -310,3 +312,92 @@ def test_stats_standard_errors_positive(rng):
     assert stats.se_all_same() > 0
     assert stats.se_all_different() > 0
     assert stats.se_workers_to_cover() > 0
+
+
+# ---------------------------------------------------------------------------
+# Stream identity: the Monte Carlo kernels draw and tally exactly as pinned
+# ---------------------------------------------------------------------------
+
+# Each case runs both kernels (collision tally and coverage) from its own
+# seeded stream. The pinned field tuples come from a literal per-cell tally
+# and a full per-round coverage scan, so any change to the order or size of
+# the draws, or to how they are counted, shows here.
+_GRID_TRIALS = 20_000
+_GRID_EPISODES = 2_000
+
+
+def _grid_cases():
+    cases = []
+    for i, row in enumerate(_analyze_grid()):
+        p = 1 if row.p is None else row.p
+        if row.m1 is None:
+            mdl = ParallelSearchModel(n=row.n, m=row.m, p=p, pG=row.pG)
+            cases.append((f"grid{i}-{row.lemma_id}", mdl, {}, i))
+        else:
+            mdl = NoisyOracleModel(n=row.n, m=row.m, m1=row.m1, m2=row.m2)
+            cases.append((f"grid{i}-{row.lemma_id}", mdl, {"p": p, "pG": row.pG}, i))
+    return cases
+
+
+_EDGE_CASES = [
+    ("all-good", ParallelSearchModel(n=2, m=4, p=3, pG=1.0), {}),
+    ("all-good-p5", ParallelSearchModel(n=3, m=8, p=5, pG=0.3), {}),
+    ("one-worker", ParallelSearchModel(n=5, m=3, p=1, pG=0.7), {}),
+    ("one-good", ParallelSearchModel(n=4, m=1, p=5, pG=0.9), {}),
+    ("noisy-no-true-tagged", NoisyOracleModel(n=6, m=5, m1=0, m2=7), {"p": 3, "pG": 0.6, "cover_episodes": 0}),
+    ("noisy-missed", NoisyOracleModel(n=5, m=6, m1=4, m2=20), {"p": 5, "pG": 0.5}),
+    ("noisy-exact", NoisyOracleModel(n=4, m=3, m1=3, m2=0), {"p": 2, "pG": 0.8}),
+    ("noisy-one-worker", NoisyOracleModel(n=4, m=3, m1=2, m2=5), {"p": 1, "pG": 0.4}),
+]
+
+
+def _stream_stats(mdl, kwargs, seed):
+    kwargs = {"trials": _GRID_TRIALS, "cover_episodes": _GRID_EPISODES, **kwargs}
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(seed,)))
+    return dataclasses.astuple(monte_carlo_parallel_draws(mdl, rng=rng, **kwargs))
+
+
+_PINNED_STATS = {
+    "grid0-L1": (20000, 5017, 14983, 2000, 16839, 171711),
+    "grid1-L2": (20000, 4961, 15039, 2000, 16518, 164688),
+    "grid2-L1": (20000, 1245, 7393, 2000, 16826, 169538),
+    "grid3-L2": (20000, 1285, 7518, 2000, 16624, 167630),
+    "grid4-L1": (20000, 0, 0, 2000, 16701, 170289),
+    "grid5-L1": (20000, 1119, 17362, 2000, 112680, 7146898),
+    "grid6-L2": (20000, 1169, 17361, 2000, 112243, 7008183),
+    "grid7-L1": (20000, 63, 14654, 2000, 113284, 7168868),
+    "grid8-L2": (20000, 62, 14577, 2000, 111477, 6946999),
+    "grid9-L1": (20000, 0, 1820, 2000, 114042, 7343552),
+    "grid10-L2": (20000, 0, 1788, 2000, 113067, 7207731),
+    "grid11-L3": (20000, 20000, 20000, 2000, 11059, 74209),
+    "grid12-L3": (20000, 10197, 10197, 2000, 12057, 100033),
+    "grid13-L3": (20000, 17985, 17985, 2000, 47991, 1342285),
+    "grid14-L4": (20000, 14253, 14253, 2000, 104921, 6248325),
+    "grid15-L5": (20000, 883, 9361, 2000, 104206, 6186662),
+    "grid16-L5": (20000, 55, 5499, 2000, 104664, 6278502),
+    "grid17-L6": (20000, 12172, 12172, 2000, 124614, 8872174),
+    "all-good": (20000, 1298, 7422, 2000, 16804, 169918),
+    "all-good-p5": (20000, 10, 4091, 2000, 147212, 12958032),
+    "one-worker": (20000, 13916, 13916, 2000, 15799, 158603),
+    "one-good": (20000, 11804, 0, 2000, 2204, 2662),
+    "noisy-no-true-tagged": (20000, 0, 2, 0, 0, 0),
+    "noisy-missed": (20000, 0, 1880, 2000, 49415, 1571657),
+    "noisy-exact": (20000, 4303, 8471, 2000, 13693, 118441),
+    "noisy-one-worker": (20000, 9915, 9915, 2000, 22628, 382272),
+    "chunked": (20000, 263, 1619, 0, 0, 0),
+}
+
+
+_STREAM_CASES = _grid_cases() + [(name, mdl, kw, 100 + i) for i, (name, mdl, kw) in enumerate(_EDGE_CASES)]
+
+
+@pytest.mark.parametrize("name,mdl,kwargs,seed", _STREAM_CASES, ids=[case[0] for case in _STREAM_CASES])
+def test_mc_replays_pinned_streams(name, mdl, kwargs, seed):
+    assert _stream_stats(mdl, kwargs, seed) == _PINNED_STATS[name]
+
+
+def test_mc_tally_across_chunk_boundaries(monkeypatch):
+    # 20,000 trials in chunks of 7,000: two full chunks and a partial one.
+    monkeypatch.setattr("qrrt.prob._DRAW_CHUNK", 7_000)
+    mdl = ParallelSearchModel(n=4, m=4, p=3, pG=0.6)
+    assert _stream_stats(mdl, {"cover_episodes": 0}, 200) == _PINNED_STATS["chunked"]

@@ -124,6 +124,35 @@ def test_amplify_counts_oracle_calls():
     assert s.oracle_calls == 7
 
 
+def _iterate(s, k):
+    for _ in range(k):
+        s = grover_iterate(s)
+    return s
+
+
+def test_amplify_matches_iterated_statevector(rng):
+    # amplify evolves the class means in closed form; the literal
+    # statevector iteration is the reference, on uniform starts and on
+    # arbitrary real states that are not two-level.
+    for case in range(300):
+        n = int(rng.integers(1, 11))
+        size = 2**n
+        m = int(rng.choice([0, 1, int(rng.integers(0, size + 1)), size - 1, size]))
+        good = rng.choice(size, size=m, replace=False) if m else []
+        s = init_uniform(n, mask(n, good))
+        if case % 2:
+            amps = rng.normal(size=size)
+            s = AmplifiedState(n=n, amplitudes=amps / np.linalg.norm(amps), good_mask=s.good_mask)
+        k = int(rng.integers(0, 41))
+        got, ref = amplify(s, k), _iterate(s, k)
+        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
+        assert (got.iterations_applied, got.oracle_calls) == (ref.iterations_applied, ref.oracle_calls) == (k, k)
+        a, b = int(rng.integers(0, 21)), int(rng.integers(0, 21))
+        split, whole = amplify(amplify(s, a), b), amplify(s, a + b)
+        assert np.max(np.abs(split.amplitudes - whole.amplitudes)) <= 1e-12
+        assert (split.iterations_applied, split.oracle_calls) == (whole.iterations_applied, whole.oracle_calls)
+
+
 # ---------------------------------------------------------------------------
 # Closed form and iteration count
 # ---------------------------------------------------------------------------
