@@ -212,6 +212,9 @@ def _cmd_plan(args) -> int:
     environment = _load_env(args.env)
     system = _load_system(args.sys)
     algo = _algo_config(args)
+    for flag, budget in (("--target-nodes", args.target_nodes), ("--cutoff", args.cutoff)):
+        if budget is not None and budget < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {budget}")
     os.makedirs(args.out, exist_ok=True)
     if args.dump_amplitudes:
         _dump_first_step_amplitudes(args, environment, system, algo)

@@ -12,6 +12,10 @@ x(k) = t + e(k). The pair (t, P) is *reachable* when
 Stability of A - B K (spectral radius < 1) is enforced when a LinearSystem
 is constructed; configs that fail the check are rejected with the offending
 eigenvalues in the diagnostic, never silently accepted.
+
+reachable_batch runs its rows through the horizon loop in fixed blocks and
+carries only the rows still in flight from step to step, so its memory does
+not grow with the number of rows. Results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ DEFAULT_GAIN = ((-4.5, -5.2), (1.0, 2.4))
 # -2.7 and -4.0: wildly unstable in discrete time. Shipped so the stability
 # guard has a concrete config to reject.
 UNSTABLE_EXAMPLE_GAIN = ((1.9, -7.5), (1.0, 7.0))
+
+# Rows per block of reachable_batch's horizon loop. On the 2000-obstacle
+# annealing world a row's first, longest segments cost about 4.5 KiB of
+# collision temporaries, so a block peaks near 36 MiB.
+_REACH_BLOCK_ROWS = 8192
 
 
 class UnstableGainError(ValueError):
@@ -130,40 +139,48 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
     target; rows are retired as soon as they collide (False) or capture
     (True). Rows whose targets are not in free space are False outright,
     which also covers annealed targets reprojected outside the bounds.
+
+    Rows run through the horizon loop in blocks of _REACH_BLOCK_ROWS, so the
+    temporaries stay the same size however many rows a call holds. Every
+    row's arithmetic involves that row alone, so results do not depend on
+    the block size or on which other rows share the call.
     """
     parents = np.asarray(parents, dtype=float).reshape(-1, 2)
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     if parents.shape != targets.shape:
         raise ValueError("parents and targets must pair up")
-    count = parents.shape[0]
+    result = np.zeros(parents.shape[0], dtype=bool)
+    for start in range(0, parents.shape[0], _REACH_BLOCK_ROWS):
+        block = slice(start, start + _REACH_BLOCK_ROWS)
+        result[block] = _reachable_block(env, sys, parents[block], targets[block])
+    return result
+
+
+def _reachable_block(env: Environment, sys: LinearSystem, parents: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """reachable_batch on one block, carrying only the live rows from step to step."""
     rc = _capture_radius(env, sys)
-    result = np.zeros(count, dtype=bool)
-
-    active = points_free(env, targets)
+    rc2 = rc * rc
+    result = np.zeros(parents.shape[0], dtype=bool)
     err = parents - targets
-    x_prev = parents.copy()
-
-    captured = np.einsum("ij,ij->i", err, err) <= rc * rc
-    result[active & captured] = True
-    active &= ~captured
-
-    a_cl_t = sys.a_cl.T
+    captured = np.einsum("ij,ij->i", err, err) <= rc2
+    free = points_free(env, targets)
+    result[free & captured] = True
+    live = np.flatnonzero(free & ~captured)
+    err, targets, x_prev = err[live], targets[live], parents[live]
+    # Columns of A - B K; e @ (A - B K)^T written out per row, because a
+    # matmul rounds a lone row differently from the same row in a batch.
+    col0, col1 = sys.a_cl[:, 0], sys.a_cl[:, 1]
     for _ in range(sys.horizon):
-        if not active.any():
+        if live.size == 0:
             break
-        err_next = err @ a_cl_t
-        x_next = targets + err_next
-        idx = np.flatnonzero(active)
-        seg_ok = segments_free(env, x_prev[idx], x_next[idx])
-        collided = idx[~seg_ok]
-        active[collided] = False
-        alive = idx[seg_ok]
-        captured_rows = alive[
-            np.einsum("ij,ij->i", err_next[alive], err_next[alive]) <= rc * rc
-        ]
-        result[captured_rows] = True
-        active[captured_rows] = False
-        err = err_next
+        err = err[:, :1] * col0 + err[:, 1:] * col1
+        x_next = targets + err
+        seg_ok = segments_free(env, x_prev, x_next)
+        captured = seg_ok & (np.einsum("ij,ij->i", err, err) <= rc2)
+        result[live[captured]] = True
+        keep = seg_ok & ~captured
+        if not keep.all():
+            live, err, targets, x_next = live[keep], err[keep], targets[keep], x_next[keep]
         x_prev = x_next
     return result
 
@@ -179,6 +196,8 @@ def default_system(horizon: int = 50, capture_radius: float | None = None) -> Li
 
 def system_from_config(cfg: dict) -> LinearSystem:
     """Build a LinearSystem from a config mapping with keys A, B, K[, horizon, capture_radius]."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"system config must hold a JSON object, got {type(cfg).__name__}")
     try:
         a = cfg["A"]
         b = cfg["B"]

@@ -501,6 +501,8 @@ def save_environment(env: Environment, path) -> None:
 def load_environment(path) -> Environment:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"environment file {path} must hold a JSON object")
     try:
         return Environment(
             bounds=payload["bounds"],

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import parallel as _parallel
 from . import planner as _planner
+from . import qsim
 from .dynamics import LinearSystem
 from .env import Environment
 from .records import TrialRecord
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("rrt", "qrrt", "qda", "prrt", "pqrrt-shared", "pqrrt-unshared")
+AMPLIFIED = ("qrrt", "qda", "pqrrt-shared", "pqrrt-unshared")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,12 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.name!r}, expected one of {ALGORITHMS}")
+        if self.name in AMPLIFIED and not (1 <= self.n <= qsim.MAX_DATABASE_QUBITS):
+            raise ValueError(
+                f"{self.name} needs a database exponent in [1, {qsim.MAX_DATABASE_QUBITS}], got {self.n}"
+            )
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.name == "qda" and self.schedule is None:
             raise ValueError("qda needs a temperature schedule")
         if self.name in ("prrt", "pqrrt-shared", "pqrrt-unshared") and self.pool is None:

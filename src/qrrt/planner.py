@@ -6,6 +6,10 @@ measures one index, re-verifies it classically (the finalizer) and admits
 the surviving node. Classical RRT is the one-sample special case: draw,
 connect to the nearest node, verify, admit.
 
+Nearest-parent search (Tree.nearest_batch) and tagging work through a
+database in fixed row blocks, so their memory does not grow with 2^n; no
+result depends on the block sizes.
+
 Database annealing replaces free placement with ring placement: each raw
 sample keeps only its direction from the chosen parent while the distance
 is redrawn inside the current temperature stage's [r_min, r_max] band. The
@@ -56,6 +60,10 @@ __all__ = [
 ]
 
 MAX_DATABASE_EXPONENT = qsim.MAX_DATABASE_QUBITS
+
+# Query rows x tree nodes per block of Tree.nearest_batch: 24 bytes of
+# temporaries a pair, so about 3 MiB a block.
+_NEAREST_BLOCK_PAIRS = 2**17
 
 
 class Tree:
@@ -112,10 +120,22 @@ class Tree:
         return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
     def nearest_batch(self, points) -> np.ndarray:
+        """Nearest node per query row; ties resolve to the lowest index.
+
+        Queries run in blocks of at most _NEAREST_BLOCK_PAIRS rows x nodes
+        (at least one row), so the distance temporaries stay the same size
+        however many queries and nodes there are. Each row's distances and
+        argmin involve that row alone, so results do not depend on the
+        block size.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        diff = pts[:, None, :] - self.coords[None, :, :]
-        d2 = np.einsum("kij,kij->ki", diff, diff)
-        return np.argmin(d2, axis=1)
+        coords = self.coords
+        rows = max(1, _NEAREST_BLOCK_PAIRS // coords.shape[0])
+        out = np.empty(pts.shape[0], dtype=np.intp)
+        for start in range(0, pts.shape[0], rows):
+            diff = pts[start : start + rows, None, :] - coords[None, :, :]
+            out[start : start + rows] = np.argmin(np.einsum("kij,kij->ki", diff, diff), axis=1)
+        return out
 
 
 def nearest(tree: Tree, point) -> int:

@@ -250,6 +250,55 @@ def test_plan_unstable_system_rejected(tmp_path, capsys):
     assert "spectral radius" in capsys.readouterr().err
 
 
+def plan_args(env_path, out, algo, *extra):
+    return ["plan", "--algo", algo, "--env", str(env_path), "--seed", "1", "--out", str(out), "--p", "2", *extra]
+
+
+@pytest.mark.parametrize("algo", ["qrrt", "qda", "pqrrt-shared", "pqrrt-unshared"])
+@pytest.mark.parametrize("n", ["0", "-1", "21"])
+def test_plan_rejects_database_exponent_out_of_range(tmp_path, capsys, algo, n):
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    assert main(plan_args(env_path, out, algo, "--n", n)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["rrt", "qrrt", "qda", "prrt", "pqrrt-shared", "pqrrt-unshared"])
+def test_plan_rejects_zero_max_steps(tmp_path, capsys, algo):
+    env_path = gen_env(tmp_path)
+    assert main(plan_args(env_path, tmp_path / "out", algo, "--n", "4", "--max-steps", "0")) == 1
+    err = capsys.readouterr().err
+    assert "max_steps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--target-nodes", "--cutoff"])
+def test_plan_rejects_negative_budgets(tmp_path, capsys, flag):
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    assert main(plan_args(env_path, out, "qrrt", "--n", "4", flag, "-1")) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_zero_target_nodes_stays_valid(tmp_path):
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    assert main(plan_args(env_path, out, "qrrt", "--n", "4", "--target-nodes", "0")) == 0
+    assert len(json.loads((out / "tree.json").read_text())["nodes"]) == 1
+
+
+def test_plan_rejects_env_and_system_files_that_are_not_objects(tmp_path, capsys):
+    env_path = gen_env(tmp_path)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    assert main(plan_args(listed, tmp_path / "a", "rrt")) == 1
+    assert main(plan_args(env_path, tmp_path / "b", "rrt", "--sys", str(listed))) == 1
+    err = capsys.readouterr().err
+    assert err.count("must hold a JSON object") == 2 and "Traceback" not in err
+
+
 def test_plan_blocked_output_path_is_io_error(tmp_path):
     env_path = gen_env(tmp_path)
     blocker = tmp_path / "blocker"

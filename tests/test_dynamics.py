@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qrrt import env as envmod
+from qrrt import dynamics, env as envmod
 from qrrt.dynamics import (
     DEFAULT_A,
     DEFAULT_B,
@@ -205,6 +205,37 @@ def test_reachable_batch_matches_single(box_env, system, rng):
         assert batch[i] == reachable(box_env, system, parents[i], targets[i])
 
 
+def blocking_rows(env, sys, rng):
+    """Paired rows covering every way a row leaves the horizon loop."""
+    rc = env.delta if sys.capture_radius is None else sys.capture_radius
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    parents = rng.uniform(lo, hi, size=(60, 2))
+    targets = parents + rng.normal(0.0, 3.0, size=(60, 2))  # some out of bounds
+    targets[:8] = parents[:8] + rng.uniform(-0.5, 0.5, size=(8, 2)) * rc  # captured at step 0
+    targets[8:12] = parents[8:12] + np.array([[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf], [np.nan, np.nan]])
+    targets[12:15] = lo - 1.0, hi + 0.5, (hi[0] + 1e6, lo[1])
+    order = rng.permutation(60)
+    return parents[order], targets[order], order < 8
+
+
+@pytest.mark.parametrize("gain", [DEFAULT_GAIN, ((-4.0, -5.0), (1.2, 2.5))], ids=["diagonal", "coupled"])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_reachable_batch_blocks_match_one_block(monkeypatch, rng, gain, block):
+    spec = envmod.GeneratorSpec(bounds=(0.0, 0.0, 20.0, 20.0), obstacle_count=45, size_range=(1.5, 3.0), delta=0.4)
+    env = envmod.generate_random_env(spec, 1234)
+    sys = LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=gain, horizon=20)
+    parents, targets, step0 = blocking_rows(env, sys, rng)
+    monkeypatch.setattr(dynamics, "_REACH_BLOCK_ROWS", 10**9)
+    # 21 rows is a multiple of every block size here; 60 is not of 7.
+    whole = {rows: reachable_batch(env, sys, parents[:rows], targets[:rows]) for rows in (0, 1, 21, 60)}
+    assert 0 < whole[60].sum() < 60 and whole[60][step0].any()
+    monkeypatch.setattr(dynamics, "_REACH_BLOCK_ROWS", block)
+    for rows, expect in whole.items():
+        got = reachable_batch(env, sys, parents[:rows], targets[:rows])
+        assert got.dtype == bool and got.shape == (rows,)
+        np.testing.assert_array_equal(got, expect)
+
+
 def test_reachable_deterministic(box_env, system):
     args = (box_env, system, (1.0, 1.0), (7.5, 2.5))
     assert reachable(*args) == reachable(*args)
@@ -255,6 +286,12 @@ def test_shipped_default_config_accepted():
 def test_shipped_unstable_config_rejected():
     with pytest.raises(UnstableGainError, match="spectral radius"):
         load_system("configs/system_unstable_example.json")
+
+
+def test_system_config_must_be_an_object():
+    for payload in ([1, 2], "A", 3, None):
+        with pytest.raises(ValueError, match="JSON object"):
+            system_from_config(payload)
 
 
 def test_load_system_missing_key(tmp_path):

@@ -500,6 +500,13 @@ def test_saved_file_field_names(tmp_path, box_env):
     assert doc["obstacles"] == [[4.0, 4.0, 6.0, 6.0]]
 
 
+def test_load_rejects_payload_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_environment(path)
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"bounds": [0, 0, 1, 1]}))

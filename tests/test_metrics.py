@@ -26,6 +26,7 @@ from qrrt.metrics import (
 )
 from qrrt.parallel import WorkerPool
 from qrrt.planner import TemperatureSchedule, Tree
+from qrrt.qsim import MAX_DATABASE_QUBITS
 from qrrt.records import TrialRecord
 
 
@@ -72,6 +73,27 @@ def test_algorithm_config_validation():
         AlgorithmConfig(name="prrt", pool=WorkerPool(p=2, mode="shared", seed_base=1))
     with pytest.raises(ValueError):
         AlgorithmConfig(name="pqrrt-shared", pool=WorkerPool(p=2, mode="classical", seed_base=1))
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_DATABASE_QUBITS + 1])
+def test_algorithm_config_bounds_amplified_exponent(n):
+    sched = TemperatureSchedule(stages=((8, 1.0, 2.0),))
+    with pytest.raises(ValueError, match="database exponent"):
+        AlgorithmConfig(name="qrrt", n=n)
+    with pytest.raises(ValueError, match="database exponent"):
+        AlgorithmConfig(name="qda", n=n, schedule=sched)
+    for mode, name in (("shared", "pqrrt-shared"), ("unshared", "pqrrt-unshared")):
+        with pytest.raises(ValueError, match="database exponent"):
+            AlgorithmConfig(name=name, n=n, pool=WorkerPool(p=2, mode=mode, seed_base=1))
+    # Classical variants never build a database, so n does not bind them.
+    AlgorithmConfig(name="rrt", n=n)
+    AlgorithmConfig(name="prrt", n=n, pool=WorkerPool(p=2, mode="classical", seed_base=1))
+
+
+def test_algorithm_config_needs_a_step():
+    with pytest.raises(ValueError, match="max_steps"):
+        AlgorithmConfig(name="rrt", max_steps=0)
+    AlgorithmConfig(name="qrrt", n=MAX_DATABASE_QUBITS, max_steps=1)
 
 
 def test_run_trial_dispatches_every_algorithm(box_env, system):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrrt import planner
 from qrrt.dynamics import default_system, reachable
 from qrrt.env import Environment, GeneratorSpec, generate_random_env
 from qrrt.planner import (
@@ -103,6 +104,43 @@ def test_nearest_matches_brute_force(rng):
         assert tree.nearest(q) == int(np.argmin(d2))
     batch = tree.nearest_batch(queries)
     assert batch.tolist() == [tree.nearest(q) for q in queries]
+
+
+def lattice_tree_and_tied_queries(rng):
+    """A shuffled 4x4 lattice tree and queries equidistant from 2 or 4 of its
+    nodes, with the lowest tied index each must resolve to."""
+    tree = Tree((0.0, 0.0))
+    nodes = [(x, y) for x in range(4) for y in range(4) if (x, y) != (0, 0)]
+    for i in rng.permutation(len(nodes)):
+        tree.add((2.0 * nodes[i][0], 2.0 * nodes[i][1]), 0)
+    lattice = [(int(x) // 2, int(y) // 2) for x, y in tree.coords]
+    queries, expect = [], []
+    for qx in range(7):
+        for qy in range(7):
+            if qx % 2 == 0 and qy % 2 == 0:
+                continue  # on a node, not a tie
+            d2 = [(2 * x - qx) ** 2 + (2 * y - qy) ** 2 for x, y in lattice]
+            queries.append((float(qx), float(qy)))
+            expect.append(d2.index(min(d2)))
+    return tree, np.array(queries), np.array(expect)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, block):
+    tree, tied, tied_expect = lattice_tree_and_tied_queries(rng)
+    assert len(tied) == 33
+    # 33 ties then 9 random rows: 42 rows, a multiple of every block size
+    # here, so tied rows sit on both sides of every block edge.
+    queries = np.concatenate([tied, rng.uniform(-1.0, 7.0, size=(9, 2))])
+    monkeypatch.setattr(planner, "_NEAREST_BLOCK_PAIRS", 10**9)
+    whole = {rows: tree.nearest_batch(queries[:rows]) for rows in (0, 1, 41, 42)}
+    np.testing.assert_array_equal(whole[42][:33], tied_expect)
+    for budget in (1, block * len(tree)):
+        monkeypatch.setattr(planner, "_NEAREST_BLOCK_PAIRS", budget)
+        for rows, expect in whole.items():
+            got = tree.nearest_batch(queries[:rows])
+            assert got.dtype == expect.dtype and got.shape == (rows,)
+            np.testing.assert_array_equal(got, expect)
 
 
 def test_tree_grows_past_initial_capacity(rng):
@@ -229,20 +267,46 @@ def test_tag_database_can_yield_empty_mask(box_env, system):
 # ---------------------------------------------------------------------------
 
 
-def test_tag_database_memory_is_bounded_on_dense_world(system):
-    # The bench annealing world: 2000 obstacles on 30x30. An annealed n=11
-    # database must not cost memory in proportion to rows x obstacles.
+@pytest.fixture(scope="module")
+def annealing_world():
+    """The bench annealing world: 2000 obstacles on 30x30."""
     spec = GeneratorSpec(bounds=(0.0, 0.0, 30.0, 30.0), obstacle_count=2000, size_range=(0.15, 0.45), delta=0.3)
-    env = generate_random_env(spec, 7)
-    schedule = TemperatureSchedule.from_config(((16, 2.7, 4.2), (32, 0.8, 2.0)))
-    db = build_database_annealed(env, Tree(env.x0), 11, schedule, np.random.default_rng(7))
+    return generate_random_env(spec, 7)
+
+
+def traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        tag_database(env, system, db)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_tag_database_memory_is_bounded_on_dense_world(annealing_world, system):
+    # An annealed n=11 database must not cost memory in proportion to
+    # rows x obstacles.
+    schedule = TemperatureSchedule.from_config(((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    db = build_database_annealed(annealing_world, Tree(annealing_world.x0), 11, schedule, np.random.default_rng(7))
+    peak = traced_peak(tag_database, annealing_world, system, db)
     assert peak <= 32 * 2**20, f"tag_database peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_tag_database_memory_does_not_grow_with_rows(annealing_world, system):
+    # Uniform targets from a one-node tree give long first segments, the
+    # costliest rows for the collision test; n=16 must still run in blocks.
+    db = build_database(annealing_world, Tree(annealing_world.x0), 16, np.random.default_rng(7))
+    peak = traced_peak(tag_database, annealing_world, system, db)
+    assert peak <= 64 * 2**20, f"tag_database peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_nearest_batch_memory_is_bounded(rng):
+    tree = Tree((0.0, 0.0))
+    for p in rng.uniform(0.0, 20.0, size=(1023, 2)):
+        tree.add(p, 0)
+    queries = rng.uniform(0.0, 20.0, size=(16_384, 2))
+    peak = traced_peak(tree.nearest_batch, queries)
+    assert peak <= 32 * 2**20, f"nearest_batch peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_schedule_stage_lookup_by_cumulative_duration():
