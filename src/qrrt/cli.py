@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import traceback
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -325,24 +327,53 @@ def _analyze_row(row: _AnalyzeRow, trials: int, cover_episodes: int, rng) -> tup
     raise AssertionError(f"unknown lemma id {row.lemma_id}")
 
 
+# Past about t = 38 the tail 2 Phi(-t) underflows to zero and the per-test bound is undefined.
+_MAX_SIGMA_TOLERANCE = 30.0
+
+
+def _family_z(sigma_tolerance: float, tests: int) -> float:
+    """Per-test z bound that holds `tests` two-sided tests to one family-wise error rate.
+
+    The rate is that of a single test at sigma_tolerance standard errors,
+    alpha = 2 (1 - Phi(t)); Sidak's correction gives each test the rate
+    1 - (1 - alpha)^(1/tests), which holds the family at alpha for
+    independent tests. Both tails are taken through erfc and log1p, so a
+    large t keeps its precision.
+    """
+    alpha = math.erfc(sigma_tolerance / math.sqrt(2.0))
+    per_test = -math.expm1(math.log1p(-alpha) / tests)
+    return -NormalDist().inv_cdf(per_test / 2.0)
+
+
 def _cmd_analyze(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.cover_episodes < 1:
         raise ConfigError(f"--cover-episodes must be >= 1, got {args.cover_episodes}")
+    if not (0.0 < args.sigma_tolerance <= _MAX_SIGMA_TOLERANCE):
+        raise ConfigError(
+            f"--sigma-tolerance must be in (0, {_MAX_SIGMA_TOLERANCE}], got {args.sigma_tolerance}"
+        )
+    if not (args.expectation_tolerance >= 0.0):
+        raise ConfigError(f"--expectation-tolerance must be >= 0, got {args.expectation_tolerance}")
     rows = _analyze_grid()
-    lines = [",".join(ANALYZE_COLUMNS)]
-    failures = []
+    results = []
     for i, row in enumerate(rows):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(i,)))
         closed, mc, sigma, is_expectation = _analyze_row(row, args.trials, args.cover_episodes, rng)
         if args.inject_error:
             closed *= 1.02
+        results.append((row, closed, mc, sigma, is_expectation))
+    # --sigma-tolerance sets the false-alarm rate of the whole grid, not of each row.
+    z = _family_z(args.sigma_tolerance, sum(not is_expectation for *_, is_expectation in results))
+    lines = [",".join(ANALYZE_COLUMNS)]
+    failures = []
+    for row, closed, mc, sigma, is_expectation in results:
         err = abs(closed - mc)
         if is_expectation:
             ok = err <= args.expectation_tolerance * closed
         else:
-            ok = err <= args.sigma_tolerance * sigma
+            ok = err <= z * sigma
         if not ok:
             failures.append((row, closed, mc, sigma))
         lines.append(
@@ -599,19 +630,12 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
 
 def _cmd_bench(args) -> int:
     recipe = args.recipe
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.cutoff is not None:
-        overrides["cutoff"] = args.cutoff
-    if args.envs is not None:
-        overrides["envs"] = args.envs
-    if args.target_nodes is not None:
-        overrides["target_nodes"] = args.target_nodes
-    if args.trees is not None:
-        overrides["trees"] = args.trees
-    if args.n is not None:
-        overrides["n"] = args.n
+    keys = ("trials", "cutoff", "envs", "target_nodes", "trees", "n")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    try:
+        metrics.check_bench_overrides(recipe, overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if recipe == "slopes":
         result = bench_slopes(args.out, args.seed_base, **overrides)
         for name, slope in result["slopes"].items():
@@ -684,7 +708,12 @@ def _build_parser() -> _Parser:
     a.add_argument("--out", required=True)
     a.add_argument("--trials", type=int, default=200_000)
     a.add_argument("--cover-episodes", type=int, default=20_000)
-    a.add_argument("--sigma-tolerance", type=float, default=3.0)
+    a.add_argument(
+        "--sigma-tolerance",
+        type=float,
+        default=3.0,
+        help="the whole grid's false-alarm rate is one two-sided test's at this many sigma",
+    )
     a.add_argument("--expectation-tolerance", type=float, default=0.02)
     a.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     a.set_defaults(func=_cmd_analyze)

@@ -22,6 +22,7 @@ from .records import TrialRecord
 __all__ = [
     "TrialRecord",
     "AlgorithmConfig",
+    "check_bench_overrides",
     "Heatmap",
     "HeatmapSpec",
     "accumulate_heatmap",
@@ -78,6 +79,32 @@ class AlgorithmConfig:
                     f"{self.name} needs a pool in mode {expected_mode[self.name]!r}, "
                     f"got {self.pool.mode!r}"
                 )
+
+
+# The overrides each `qrrt bench` recipe reads, with the smallest value it can run.
+_BENCH_OVERRIDE_MINIMA = {
+    "slopes": {"envs": 1, "target_nodes": 2},  # the slope fit needs two node counts
+    "heatmap": {"trials": 1, "cutoff": 1},
+    "corridor": {"trials": 1, "cutoff": 1},
+    "annealing": {"trees": 1, "target_nodes": 0},
+}
+
+
+def check_bench_overrides(recipe: str, overrides: dict) -> None:
+    """Reject ``qrrt bench`` overrides the recipe does not read or cannot run, before it starts.
+
+    n takes AlgorithmConfig's bound, since every recipe runs an amplified
+    planner.
+    """
+    minima = _BENCH_OVERRIDE_MINIMA[recipe]
+    for key, value in overrides.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "n":
+            AlgorithmConfig(name="qrrt", n=value)
+        elif key not in minima:
+            raise ValueError(f"{flag} does not apply to bench {recipe}")
+        elif value < minima[key]:
+            raise ValueError(f"{flag} must be >= {minima[key]}, got {value}")
 
 
 def run_trial(

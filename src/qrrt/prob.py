@@ -29,13 +29,19 @@ are complementary within pG^2; the tests pin both identities.
 
 The Monte Carlo helpers replay the draw process literally on a relabeled
 index set (goods first, then bads) and tally the same three statistics, so
-every closed form above has an independent numerical check. The tallies
-read each round's draws once sorted (all-same, all-distinct and, for the
-exact oracle, all-solution follow from the sorted row's ends and adjacent
-pairs), and coverage keeps a per-episode count of distinct coupons seen, so
-an episode's draw count is the round in which that count reaches the
-number of coupons. How the draws are tallied never changes which random
-numbers are drawn, and ``tests/test_prob.py`` pins seeded statistics.
+every closed form above has an independent numerical check. The collision
+tally first marks the all-solution rows. In the exact-oracle model a pick
+is a solution exactly when it took the good branch, so those are the rows
+whose uniforms all fell below pG, and only their good indices are compared;
+the noisy model merges good and bad picks and tests each index. All-same
+and all-distinct then come from pairwise column compares for narrow rows
+and from the sorted all-solution rows for wide ones. Coverage keeps, per
+episode, a packed bitset of the coupons seen (ceil(m/64) uint64 words, the
+bits past the last coupon preset), ORs in one bit per hit, and counts the
+words that have become full; an episode's draw count is the round in which
+its last word fills. How the draws are tallied never changes which random
+numbers are drawn: every chunk still draws the bad indices the exact-oracle
+tally never reads, and ``tests/test_prob.py`` pins seeded statistics.
 """
 
 from __future__ import annotations
@@ -60,8 +66,6 @@ __all__ = [
     "expected_workers_noisy",
     "harmonic",
     "monte_carlo_parallel_draws",
-    "monte_carlo_batched",
-    "aggregate_stats",
 ]
 
 @dataclass(frozen=True)
@@ -194,11 +198,15 @@ def _check_pg(pG: float) -> None:
 # ---------------------------------------------------------------------------
 
 _DRAW_CHUNK = 250_000
+# Widest row the collision tally compares column by column; wider rows are sorted.
+_COLUMN_MAX_P = 5
+_FULL_WORD = np.uint64((1 << 64) - 1)
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
 class MonteCarloStats:
-    """Raw counts plus derived frequencies; counts make batches summable."""
+    """Raw counts plus derived frequencies."""
 
     trials: int
     count_all_same: int
@@ -237,41 +245,79 @@ class MonteCarloStats:
         return math.sqrt(max(var, 0.0) / self.cover_episodes)
 
 
-def _draw_chunk(n, m, pG, rows, p, rng):
-    """(rows, p) relabeled indices: goods are 0..m-1, bads are m..N-1."""
-    size = 2**n
-    good_idx = rng.integers(0, m, size=(rows, p))
-    if size == m:
-        return good_idx
-    bad_idx = m + rng.integers(0, size - m, size=(rows, p))
-    take_good = rng.random((rows, p)) < pG
-    return np.where(take_good, good_idx, bad_idx)
+def _rows_all(columns):
+    """Elementwise AND of a non-empty sequence of equal-length bool arrays.
+
+    One vectorized pass per column. numpy's row reductions (``.all(axis=1)``)
+    run a short inner loop per row and cost several times more on the
+    narrow (rows, p) arrays drawn here.
+    """
+    out = np.array(columns[0])
+    for col in columns[1:]:
+        out &= col
+    return out
 
 
-def _tally(n, m, p, pG, trials, rng, sol_good, sol_bad_lo, sol_bad_hi):
+def _count_same_distinct(picks, keep):
+    """(all-same, all-distinct) counts over the rows of picks that keep marks.
+
+    Up to _COLUMN_MAX_P columns are compared pairwise in place; wider rows
+    are gathered and sorted, after which a row is all-same when its ends
+    agree and all-distinct when no adjacent pair does.
+    """
+    p = picks.shape[1]
+    if p <= _COLUMN_MAX_P:
+        cols = [picks[:, j] for j in range(p)]
+        same = _rows_all([keep] + [cols[0] == col for col in cols[1:]])
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        distinct = _rows_all([keep] + [cols[i] != cols[j] for i, j in pairs])
+    else:
+        srt = np.compress(keep, picks, axis=0)
+        srt.sort(axis=1)
+        same = srt[:, 0] == srt[:, -1]
+        distinct = _rows_all([srt[:, j] != srt[:, j - 1] for j in range(1, p)])
+    return int(np.count_nonzero(same)), int(np.count_nonzero(distinct))
+
+
+def _tally(n, m, p, pG, trials, rng, noisy=None):
     """Count all-same-solution and all-distinct-solution rows over the trials.
 
-    Solutions are indices < sol_good plus indices in [sol_bad_lo, sol_bad_hi);
-    the plain model passes sol_good = m and an empty bad interval. Each row
-    is sorted once: it is all-same when its ends agree, all-distinct when no
-    adjacent pair does, and (plain model) all-solution when its largest
-    index is below sol_good.
+    Every chunk draws its good indices, then its bad indices, then the
+    uniforms that choose between them, even where a tally reads only some of
+    them, so the random stream never depends on how it is tallied.
+
+    Plain model (noisy=None): a pick is a solution exactly when it took the
+    good branch, so a row is all-solution when all its uniforms are below
+    pG, and only those rows' good indices are compared. Noisy model
+    (noisy=(m1, m2)): the picks merge into one relabeled index (goods
+    0..m-1, bads m..N-1) whose solutions are the indices below m1 and those
+    in [m, m + m2), and again only all-solution rows are compared.
     """
+    size = 2**n
     count_same = 0
     count_diff = 0
     done = 0
     while done < trials:
         rows = min(_DRAW_CHUNK, trials - done)
-        srt = np.sort(_draw_chunk(n, m, pG, rows, p, rng), axis=1)
-        if sol_bad_lo == sol_bad_hi:
-            all_sol = srt[:, -1] < sol_good
-        else:
-            all_sol = ((srt < sol_good) | ((srt >= sol_bad_lo) & (srt < sol_bad_hi))).all(axis=1)
-        count_same += int(np.count_nonzero(all_sol & (srt[:, 0] == srt[:, -1])))
-        for j in range(1, p):
-            all_sol = all_sol & (srt[:, j] != srt[:, j - 1])
-        count_diff += int(np.count_nonzero(all_sol))
         done += rows
+        picks = rng.integers(0, m, size=(rows, p))
+        if size == m:
+            keep = np.ones(rows, dtype=bool)
+        elif noisy is None:
+            rng.integers(0, size - m, size=(rows, p))  # bad picks never solve; drawn for the stream
+            take_good = rng.random((rows, p)) < pG
+            keep = _rows_all([take_good[:, j] for j in range(p)])
+        else:
+            m1, m2 = noisy
+            bad = rng.integers(0, size - m, size=(rows, p))
+            bad += m
+            np.copyto(bad, picks, where=rng.random((rows, p)) < pG)
+            picks = bad
+            solution = (picks < m1) | ((picks >= m) & (picks < m + m2))
+            keep = _rows_all([solution[:, j] for j in range(p)])
+        same, diff = _count_same_distinct(picks, keep)
+        count_same += same
+        count_diff += diff
     return count_same, count_diff
 
 
@@ -281,35 +327,54 @@ def _coupon_draws_total(num_coupons, success_prob, episodes, rng):
     One draw succeeds with success_prob and then lands on a uniform coupon;
     this covers both the exact oracle (success_prob = pG, coupons = m) and
     the noisy one (success_prob = (m1/m) pG, coupons = m1).
+
+    Each episode's coupons seen so far are a packed bitset of ceil(m/64)
+    uint64 words, about m/8 bytes. The bits past the last coupon start set,
+    so an episode is covered once every one of its words reads all ones.
+    A round ORs each draw's bit into its word (a miss ORs in zero) and
+    counts the words that just became full; covered episodes leave the
+    round arrays, and each one adds its round number to the totals, since it
+    drew once in every round so far.
     """
     if not (success_prob > 0.0):
         raise ValueError("coverage simulation diverges for success probability 0")
     if num_coupons == 0:
         return 0, 0
-    # An episode completes in the round its count of distinct coupons reaches
-    # num_coupons, and it draws once in every round up to that one.
-    remaining = np.arange(episodes)
-    seen = np.zeros((episodes, num_coupons), dtype=bool)
-    distinct = np.zeros(episodes, dtype=np.int64)
-    draws = np.zeros(episodes, dtype=np.int64)
+    words = -(-num_coupons // 64)
+    tail = num_coupons - 64 * (words - 1)
+    bits = np.zeros(episodes * words, dtype=np.uint64)
+    bits[words - 1 :: words] = ((1 << 64) - 1) ^ ((1 << tail) - 1)
+    # Per open episode: the offset of its first word, and how many words are full.
+    first_word = np.arange(0, episodes * words, words)
+    full_words = np.zeros(episodes, dtype=np.int64)
+    total = 0
+    total_sq = 0
     rounds = 0
-    while remaining.size:
+    while first_word.size:
         rounds += 1
         if rounds > 50_000_000:
             raise RuntimeError("coupon-collector simulation failed to terminate")
-        k = remaining.size
+        k = first_word.size
         hit = rng.random(k) < success_prob
         coupons = rng.integers(0, num_coupons, size=k)
-        rows, coupons = remaining[hit], coupons[hit]
-        new = ~seen[rows, coupons]
-        rows, coupons = rows[new], coupons[new]
-        seen[rows, coupons] = True
-        distinct[rows] += 1
-        complete = distinct[rows] == num_coupons
-        if complete.any():
-            draws[rows[complete]] = rounds
-            remaining = remaining[distinct[remaining] < num_coupons]
-    return int(draws.sum()), int(np.sum(draws * draws))
+        word = _BIT[coupons & 63]
+        word *= hit
+        slot = coupons >> 6
+        slot += first_word
+        old = bits[slot]
+        word |= old
+        bits[slot] = word
+        now_full = np.flatnonzero((word == _FULL_WORD) & (old != _FULL_WORD))
+        if now_full.size:
+            full_words[now_full] += 1
+            still_open = full_words < words
+            covered = k - int(np.count_nonzero(still_open))
+            if covered:
+                total += rounds * covered
+                total_sq += rounds * rounds * covered
+                first_word = first_word[still_open]
+                full_words = full_words[still_open]
+    return total, total_sq
 
 
 def monte_carlo_parallel_draws(
@@ -341,9 +406,7 @@ def monte_carlo_parallel_draws(
         pg_eff = model.pG if pG is None else float(pG)
         if model.m < 1:
             raise ValueError("Monte Carlo needs at least one good entry")
-        count_same, count_diff = _tally(
-            model.n, model.m, p_eff, pg_eff, trials, rng, model.m, 0, 0
-        )
+        count_same, count_diff = _tally(model.n, model.m, p_eff, pg_eff, trials, rng)
         cover_total, cover_sq = (
             _coupon_draws_total(model.m, pg_eff, episodes, rng) if episodes else (0, 0)
         )
@@ -352,8 +415,7 @@ def monte_carlo_parallel_draws(
             raise ValueError("noisy-oracle Monte Carlo needs explicit p and pG")
         _check_pg(pG)
         count_same, count_diff = _tally(
-            model.n, model.m, int(p), float(pG), trials, rng,
-            model.m1, model.m, model.m + model.m2,
+            model.n, model.m, int(p), float(pG), trials, rng, noisy=(model.m1, model.m2)
         )
         success = (model.m1 / model.m) * float(pG)
         cover_total, cover_sq = (
@@ -370,46 +432,3 @@ def monte_carlo_parallel_draws(
         cover_total_draws=cover_total,
         cover_total_sq_draws=cover_sq,
     )
-
-
-def aggregate_stats(parts: list[MonteCarloStats]) -> MonteCarloStats:
-    """Sum raw counts across batches; deterministic for a fixed batch list."""
-    if not parts:
-        raise ValueError("nothing to aggregate")
-    return MonteCarloStats(
-        trials=sum(s.trials for s in parts),
-        count_all_same=sum(s.count_all_same for s in parts),
-        count_all_different=sum(s.count_all_different for s in parts),
-        cover_episodes=sum(s.cover_episodes for s in parts),
-        cover_total_draws=sum(s.cover_total_draws for s in parts),
-        cover_total_sq_draws=sum(s.cover_total_sq_draws for s in parts),
-    )
-
-
-def monte_carlo_batched(
-    model: ParallelSearchModel | NoisyOracleModel,
-    p: int | None,
-    trials_per_batch: int,
-    batch_seeds: list[int],
-    pG: float | None = None,
-    cover_episodes_per_batch: int | None = None,
-) -> MonteCarloStats:
-    """Independently seeded batches aggregated by summing counts.
-
-    The result depends only on (model, p, trials_per_batch, batch_seeds), so
-    repeated invocations reproduce byte-identical statistics.
-    """
-    if not batch_seeds:
-        raise ValueError("batch_seeds must be non-empty")
-    parts = [
-        monte_carlo_parallel_draws(
-            model,
-            p=p,
-            trials=trials_per_batch,
-            rng=np.random.default_rng(seed),
-            pG=pG,
-            cover_episodes=cover_episodes_per_batch,
-        )
-        for seed in batch_seeds
-    ]
-    return aggregate_stats(parts)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import qrrt
-from qrrt import env as envmod
-from qrrt.cli import ANALYZE_COLUMNS, main
+from qrrt import env as envmod, prob
+from qrrt.cli import ANALYZE_COLUMNS, _family_z, main
 from qrrt.metrics import RECORD_CSV_COLUMNS
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -431,6 +431,52 @@ def test_analyze_validates_parameters(tmp_path):
         ["analyze", "--seed", "1", "--out", str(tmp_path / "x.csv"), "--cover-episodes", "0"]
     )
     assert rc == 1
+    for flag, value in (
+        ("--sigma-tolerance", "0"),
+        ("--sigma-tolerance", "-1"),
+        ("--sigma-tolerance", "31"),
+        ("--sigma-tolerance", "nan"),
+        ("--expectation-tolerance", "-0.01"),
+        ("--expectation-tolerance", "nan"),
+    ):
+        rc = main(["analyze", "--seed", "1", "--out", str(tmp_path / "x.csv"), flag, value])
+        assert rc == 1, (flag, value)
+
+
+def test_family_z_is_sidak_per_row_bound():
+    # 14 sigma-gated rows held together to the two-sided 3-sigma rate of 0.27%.
+    assert _family_z(3.0, 14) == pytest.approx(3.728, abs=5e-4)
+    alpha = math.erfc(3.0 / math.sqrt(2.0))
+    per_row = math.erfc(_family_z(3.0, 14) / math.sqrt(2.0))
+    assert 1.0 - (1.0 - per_row) ** 14 == pytest.approx(alpha, rel=1e-9)
+    for t in (0.5, 3.0, 30.0):
+        assert _family_z(t, 1) == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_analyze_passes_correct_code_at_default_sizes(tmp_path, seed):
+    # Gated row by row at 3 sigma, these seeds each raised one false alarm.
+    assert main(["analyze", "--seed", str(seed), "--out", str(tmp_path / "a.csv")]) == 0
+
+
+def test_analyze_injected_error_fails_at_every_seed(tmp_path):
+    for seed in range(10):
+        rc = main(["analyze", "--seed", str(seed), "--out", str(tmp_path / "a.csv"), "--inject-error"])
+        assert rc == 3, seed
+
+
+def test_analyze_catches_one_planted_closed_form(tmp_path, capsys, monkeypatch):
+    exact = prob.prob_all_same
+
+    def planted(model):
+        value = exact(model)
+        return 1.02 * value if (model.n, model.m, model.p) == (4, 4, 2) else value
+
+    monkeypatch.setattr(prob, "prob_all_same", planted)
+    assert main(["analyze", "--seed", "0", "--out", str(tmp_path / "a.csv")]) == 3
+    failures = [line for line in capsys.readouterr().err.splitlines() if "tolerance failure" in line]
+    assert len(failures) == 1
+    assert "L1 n=4 m=4 p=2 " in failures[0]
 
 
 def test_analyze_deterministic(tmp_path):
@@ -614,6 +660,38 @@ def test_bench_annealing_tree_without_edges(tmp_path):
     for row in rows[1:]:
         assert row[2] == "0"
         assert row[3:] == ["nan", "nan", "nan"]
+
+
+_BAD_BENCH_OVERRIDES = [
+    ("heatmap", "--n", "0", "database exponent in [1, 20]"),
+    ("heatmap", "--n", "21", "database exponent in [1, 20]"),
+    ("heatmap", "--trials", "0", "--trials must be >= 1"),
+    ("heatmap", "--cutoff", "-1", "--cutoff must be >= 1"),
+    ("corridor", "--cutoff", "0", "--cutoff must be >= 1"),
+    ("slopes", "--envs", "0", "--envs must be >= 1"),
+    ("slopes", "--target-nodes", "1", "--target-nodes must be >= 2"),
+    ("annealing", "--trees", "0", "--trees must be >= 1"),
+    ("annealing", "--target-nodes", "-1", "--target-nodes must be >= 0"),
+    ("slopes", "--trials", "3", "--trials does not apply to bench slopes"),
+    ("heatmap", "--envs", "2", "--envs does not apply to bench heatmap"),
+    ("corridor", "--trees", "1", "--trees does not apply to bench corridor"),
+    ("annealing", "--cutoff", "5", "--cutoff does not apply to bench annealing"),
+]
+
+
+@pytest.mark.parametrize(
+    "recipe,flag,value,message",
+    _BAD_BENCH_OVERRIDES,
+    ids=[f"{recipe}{flag}={value}" for recipe, flag, value, _ in _BAD_BENCH_OVERRIDES],
+)
+def test_bench_rejects_out_of_range_overrides(tmp_path, capsys, recipe, flag, value, message):
+    out = tmp_path / "bench"
+    rc = main(["bench", recipe, "--seed-base", "1", "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_deterministic(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +13,16 @@ from qrrt.prob import (
     MonteCarloStats,
     NoisyOracleModel,
     ParallelSearchModel,
-    aggregate_stats,
     expected_passes,
     expected_workers_all_solutions,
     expected_workers_noisy,
     harmonic,
-    monte_carlo_batched,
     monte_carlo_parallel_draws,
     prob_all_different,
     prob_all_same,
     prob_all_same_noisy,
     prob_true_good,
+    _coupon_draws_total,
 )
 
 
@@ -285,28 +285,6 @@ def test_mc_deterministic_given_seed():
     assert s1 == s2
 
 
-def test_batched_aggregation_sums_counts(rng):
-    parts = [
-        monte_carlo_parallel_draws(model(), trials=2500, rng=np.random.default_rng(seed))
-        for seed in range(4)
-    ]
-    total = aggregate_stats(parts)
-    assert total.trials == 10_000
-    assert total.count_all_same == sum(p.count_all_same for p in parts)
-    assert total.cover_total_draws == sum(p.cover_total_draws for p in parts)
-
-
-def test_batched_entry_point_matches_manual_aggregation():
-    batched = monte_carlo_batched(model(), p=None, trials_per_batch=2500, batch_seeds=[3, 5, 8, 13])
-    parts = [
-        monte_carlo_parallel_draws(model(), trials=2500, rng=np.random.default_rng(seed))
-        for seed in (3, 5, 8, 13)
-    ]
-    assert batched == aggregate_stats(parts)
-    with pytest.raises(ValueError):
-        monte_carlo_batched(model(), p=None, trials_per_batch=100, batch_seeds=[])
-
-
 def test_stats_standard_errors_positive(rng):
     stats = monte_carlo_parallel_draws(model(m=4, p=2, pG=0.9), trials=20_000, rng=rng)
     assert stats.se_all_same() > 0
@@ -348,6 +326,32 @@ _EDGE_CASES = [
     ("noisy-missed", NoisyOracleModel(n=5, m=6, m1=4, m2=20), {"p": 5, "pG": 0.5}),
     ("noisy-exact", NoisyOracleModel(n=4, m=3, m1=3, m2=0), {"p": 2, "pG": 0.8}),
     ("noisy-one-worker", NoisyOracleModel(n=4, m=3, m1=2, m2=5), {"p": 1, "pG": 0.4}),
+    # Row widths on both sides of the column-compare / sort split of the collision tally.
+    ("plain-p4", ParallelSearchModel(n=5, m=6, p=4, pG=0.85), {}),
+    ("plain-p5", ParallelSearchModel(n=5, m=7, p=5, pG=0.9), {}),
+    ("plain-p12", ParallelSearchModel(n=7, m=24, p=12, pG=0.97), {}),
+    ("pg-zero", ParallelSearchModel(n=4, m=3, p=2, pG=0.0), {"cover_episodes": 0}),
+    ("pg-one", ParallelSearchModel(n=5, m=4, p=3, pG=1.0), {}),
+    ("all-good-p2", ParallelSearchModel(n=3, m=8, p=2, pG=0.5), {}),
+    ("all-good-p12", ParallelSearchModel(n=4, m=16, p=12, pG=0.6), {}),
+    ("noisy-no-true-tagged-p5", NoisyOracleModel(n=6, m=5, m1=0, m2=40), {"p": 5, "pG": 0.3, "cover_episodes": 0}),
+    ("noisy-one-worker-exact", NoisyOracleModel(n=4, m=5, m1=3, m2=0), {"p": 1, "pG": 0.7}),
+    ("noisy-p4", NoisyOracleModel(n=5, m=8, m1=6, m2=10), {"p": 4, "pG": 0.8}),
+    ("noisy-p12", NoisyOracleModel(n=6, m=20, m1=16, m2=30), {"p": 12, "pG": 0.9}),
+    # Coverage bitsets of one word, one full word, and one or more words plus a partial one.
+    ("cover-m1", ParallelSearchModel(n=3, m=1, p=1, pG=0.35), {"trials": 1000}),
+    ("cover-m63", ParallelSearchModel(n=8, m=63, p=1, pG=0.9), {"trials": 1000}),
+    ("cover-m64", ParallelSearchModel(n=8, m=64, p=1, pG=0.9), {"trials": 1000}),
+    ("cover-m65", ParallelSearchModel(n=8, m=65, p=1, pG=0.9), {"trials": 1000}),
+    ("cover-m130", ParallelSearchModel(n=8, m=130, p=1, pG=0.75), {"trials": 1000}),
+    ("noisy-cover-m64", NoisyOracleModel(n=8, m=80, m1=64, m2=3), {"p": 2, "pG": 0.9, "trials": 1000}),
+    # One row past a 250,000-row draw chunk.
+    ("over-one-chunk", ParallelSearchModel(n=4, m=5, p=3, pG=0.7), {"trials": 250_001, "cover_episodes": 0}),
+    (
+        "noisy-over-one-chunk",
+        NoisyOracleModel(n=4, m=5, m1=4, m2=2),
+        {"p": 2, "pG": 0.8, "trials": 250_001, "cover_episodes": 0},
+    ),
 ]
 
 
@@ -384,6 +388,25 @@ _PINNED_STATS = {
     "noisy-missed": (20000, 0, 1880, 2000, 49415, 1571657),
     "noisy-exact": (20000, 4303, 8471, 2000, 13693, 118441),
     "noisy-one-worker": (20000, 9915, 9915, 2000, 22628, 382272),
+    "plain-p4": (20000, 42, 2996, 2000, 34724, 713254),
+    "plain-p5": (20000, 6, 1733, 2000, 40155, 947575),
+    "plain-p12": (20000, 0, 483, 2000, 185792, 18953814),
+    "pg-zero": (20000, 0, 0, 0, 0, 0),
+    "pg-one": (20000, 1256, 7495, 2000, 16780, 170908),
+    "all-good-p2": (20000, 2589, 17411, 2000, 85703, 4333169),
+    "all-good-p12": (20000, 0, 76, 2000, 177250, 17817042),
+    "noisy-no-true-tagged-p5": (20000, 0, 390, 0, 0, 0),
+    "noisy-one-worker-exact": (20000, 8427, 8427, 2000, 26207, 461907),
+    "noisy-p4": (20000, 10, 1735, 2000, 48612, 1422380),
+    "noisy-p12": (20000, 0, 13, 2000, 151167, 12861081),
+    "cover-m1": (1000, 345, 345, 2000, 5576, 25128),
+    "cover-m63": (1000, 902, 902, 2000, 657664, 231121674),
+    "cover-m64": (1000, 908, 908, 2000, 670088, 239270478),
+    "cover-m65": (1000, 887, 887, 2000, 686935, 251350525),
+    "cover-m130": (1000, 739, 739, 2000, 1882064, 1864603000),
+    "noisy-cover-m64": (1000, 8, 544, 2000, 840183, 379028737),
+    "over-one-chunk": (250001, 3559, 41084, 0, 0, 0),
+    "noisy-over-one-chunk": (250001, 25740, 88392, 0, 0, 0),
     "chunked": (20000, 263, 1619, 0, 0, 0),
 }
 
@@ -396,8 +419,46 @@ def test_mc_replays_pinned_streams(name, mdl, kwargs, seed):
     assert _stream_stats(mdl, kwargs, seed) == _PINNED_STATS[name]
 
 
+@pytest.mark.parametrize("column_max_p", [1, 64])
+def test_mc_tally_paths_agree(monkeypatch, column_max_p):
+    # Every row width through the sort path alone, then through column compares alone.
+    monkeypatch.setattr("qrrt.prob._COLUMN_MAX_P", column_max_p)
+    for name, mdl, kwargs, seed in _STREAM_CASES:
+        got = _stream_stats(mdl, {**kwargs, "cover_episodes": 0}, seed)
+        assert got[:3] == _PINNED_STATS[name][:3], name
+
+
 def test_mc_tally_across_chunk_boundaries(monkeypatch):
     # 20,000 trials in chunks of 7,000: two full chunks and a partial one.
     monkeypatch.setattr("qrrt.prob._DRAW_CHUNK", 7_000)
     mdl = ParallelSearchModel(n=4, m=4, p=3, pG=0.6)
     assert _stream_stats(mdl, {"cover_episodes": 0}, 200) == _PINNED_STATS["chunked"]
+
+
+class _SweepStream:
+    """Stand-in rng for coverage: every draw hits, and each round gives
+    episode e the coupon (round + e) mod m, so all episodes cover in round m."""
+
+    def __init__(self):
+        self.round = 0
+
+    def random(self, k):
+        self.round += 1
+        return np.zeros(k)
+
+    def integers(self, low, high, size):
+        return (self.round + np.arange(size)) % high
+
+
+def test_coverage_bitset_memory_is_bounded():
+    # 8,000 episodes of 4,096 coupons: one byte per coupon would hold 31.2 MiB.
+    # A seeded generator takes about 40,000 rounds to cover; the sweep takes
+    # 4,096 and holds the same bitset.
+    tracemalloc.start()
+    try:
+        totals = _coupon_draws_total(4096, 0.9, 8000, _SweepStream())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals == (4096 * 8000, 4096**2 * 8000)
+    assert peak < 8 * 2**20
