@@ -330,6 +330,10 @@ def _analyze_row(row: _AnalyzeRow, trials: int, cover_episodes: int, rng) -> tup
 # Past about t = 38 the tail 2 Phi(-t) underflows to zero and the per-test bound is undefined.
 _MAX_SIGMA_TOLERANCE = 30.0
 
+# Coverage state takes about 75 bytes an episode: 1,000,000 episodes peak at
+# about 71 MiB, so larger values are refused rather than run toward gigabytes.
+_MAX_COVER_EPISODES = 1_000_000
+
 
 def _family_z(sigma_tolerance: float, tests: int) -> float:
     """Per-test z bound that holds `tests` two-sided tests to one family-wise error rate.
@@ -350,6 +354,8 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.cover_episodes < 1:
         raise ConfigError(f"--cover-episodes must be >= 1, got {args.cover_episodes}")
+    if args.cover_episodes > _MAX_COVER_EPISODES:
+        raise ConfigError(f"--cover-episodes must be <= {_MAX_COVER_EPISODES}, got {args.cover_episodes}")
     if not (0.0 < args.sigma_tolerance <= _MAX_SIGMA_TOLERANCE):
         raise ConfigError(
             f"--sigma-tolerance must be in (0, {_MAX_SIGMA_TOLERANCE}], got {args.sigma_tolerance}"
@@ -707,7 +713,9 @@ def _build_parser() -> _Parser:
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--trials", type=int, default=200_000)
-    a.add_argument("--cover-episodes", type=int, default=20_000)
+    a.add_argument(
+        "--cover-episodes", type=int, default=20_000, help=f"coverage episodes per row, at most {_MAX_COVER_EPISODES:,}"
+    )
     a.add_argument(
         "--sigma-tolerance",
         type=float,

@@ -30,8 +30,21 @@ obstacle) and (point, obstacle) pairs reach those tests:
   the same tests as one dense (row, obstacle) broadcast, which is cheaper at
   that size and is the reference the grid path is tested against.
 
-Only rows that are finite and inside the bounds reach the grid; every other
-row is blocked already.
+Only rows inside the bounds reach the grid; every other row, NaN and
+infinite ones included (they fail the closed bounds comparisons), is blocked
+already.
+
+On the grid path a segment whose end b lies in a closed obstacle is blocked
+by a point query alone (the endpoint certificate), and only the remaining
+rows go through the broadphase and the slab test. This gives exactly the
+slab test's verdict in floating point. Say lo <= b <= hi on an axis and
+d = fl(b - a). If d > 0, rounding is monotone, so fl(lo - a) <= d <=
+fl(hi - a), hence t1 = fl(fl(lo - a) / d) <= 1 <= t2; if d < 0 the
+inequalities flip with the same conclusion; if d = 0 then a = b, and the
+parallel branch puts the axis's interval at (-inf, inf). On both axes, then,
+tmin <= 1 <= tmax, so exit = 1 >= enter and the slab test reports a hit. The
+dense path, which carries the single-row calls, skips the certificate: there
+an extra point query would only add cost.
 """
 
 from __future__ import annotations
@@ -177,9 +190,10 @@ def _slab_hit(a, d, lo, hi) -> np.ndarray:
     tmin = np.minimum(t1, t2)
     tmax = np.maximum(t1, t2)
     parallel = d == 0.0
-    in_slab = (a >= lo) & (a <= hi)
-    tmin = np.where(parallel, np.where(in_slab, -np.inf, np.inf), tmin)
-    tmax = np.where(parallel, np.where(in_slab, np.inf, -np.inf), tmax)
+    if parallel.any():
+        in_slab = (a >= lo) & (a <= hi)
+        tmin = np.where(parallel, np.where(in_slab, -np.inf, np.inf), tmin)
+        tmax = np.where(parallel, np.where(in_slab, np.inf, -np.inf), tmax)
     enter = np.maximum(np.maximum(tmin[..., 0], tmin[..., 1]), 0.0)
     exit_ = np.minimum(np.minimum(tmax[..., 0], tmax[..., 1]), 1.0)
     return enter <= exit_
@@ -255,7 +269,7 @@ def _dense(env: Environment, rows: int, max_pairs: int) -> bool:
 def points_free(env: Environment, points) -> np.ndarray:
     """Vector of booleans: inside the closed bounds and outside every closed obstacle."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    ok = _in_bounds(env, pts) & np.all(np.isfinite(pts), axis=1)
+    ok = _in_bounds(env, pts)
     grid = env.grid
     if grid is None:
         return ok
@@ -294,9 +308,12 @@ def segments_free(env: Environment, a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1) & _in_bounds(env, a) & _in_bounds(env, b)
+    ok = _in_bounds(env, a)
     if _dense(env, a.shape[0], _DENSE_MAX_SEGMENT_PAIRS):
-        return ok & ~_segments_hit_rects(a, b, env.obstacles)
+        return ok & _in_bounds(env, b) & ~_segments_hit_rects(a, b, env.obstacles)
+    # Endpoint certificate: a segment ending in an obstacle is blocked, as
+    # the slab test would find (see the module docstring).
+    ok &= points_free(env, b)
     grid = env.grid
     rows = np.flatnonzero(ok)
     a, b = np.take(a, rows, axis=0), np.take(b, rows, axis=0)

@@ -61,8 +61,8 @@ __all__ = [
 
 MAX_DATABASE_EXPONENT = qsim.MAX_DATABASE_QUBITS
 
-# Query rows x tree nodes per block of Tree.nearest_batch: 24 bytes of
-# temporaries a pair, so about 3 MiB a block.
+# Query rows x tree nodes per block of Tree.nearest_batch: 16 bytes of
+# temporaries a pair, so about 2 MiB a block.
 _NEAREST_BLOCK_PAIRS = 2**17
 
 
@@ -129,12 +129,19 @@ class Tree:
         block size.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        coords = self.coords
-        rows = max(1, _NEAREST_BLOCK_PAIRS // coords.shape[0])
+        nx, ny = self.coords.T
+        rows = max(1, _NEAREST_BLOCK_PAIRS // nx.size)
         out = np.empty(pts.shape[0], dtype=np.intp)
         for start in range(0, pts.shape[0], rows):
-            diff = pts[start : start + rows, None, :] - coords[None, :, :]
-            out[start : start + rows] = np.argmin(np.einsum("kij,kij->ki", diff, diff), axis=1)
+            q = pts[start : start + rows]
+            # (qx - nx)^2 + (qy - ny)^2 per axis, in place: the same roundings
+            # as summing a (rows, nodes, 2) difference array over its last axis.
+            d2 = q[:, :1] - nx
+            d2 *= d2
+            dy = q[:, 1:] - ny
+            dy *= dy
+            d2 += dy
+            out[start : start + rows] = d2.argmin(axis=1)
         return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qrrt
-from qrrt import env as envmod, prob
+from qrrt import cli, env as envmod, prob
 from qrrt.cli import ANALYZE_COLUMNS, _family_z, main
 from qrrt.metrics import RECORD_CSV_COLUMNS
 
@@ -441,6 +441,25 @@ def test_analyze_validates_parameters(tmp_path):
     ):
         rc = main(["analyze", "--seed", "1", "--out", str(tmp_path / "x.csv"), flag, value])
         assert rc == 1, (flag, value)
+
+
+def test_analyze_rejects_cover_episodes_above_cap(tmp_path, capsys, monkeypatch):
+    # Coverage state takes about 75 bytes an episode, so 10^8 episodes would
+    # need about 7 GB; the grid must be refused before any row runs.
+    def must_not_run(*args):
+        raise AssertionError("analyze ran a row past the --cover-episodes cap")
+
+    monkeypatch.setattr(cli, "_analyze_row", must_not_run)
+    out = tmp_path / "x.csv"
+    for value in ("1000001", "100000000"):
+        rc = main(["analyze", "--seed", "1", "--out", str(out), "--cover-episodes", value])
+        assert rc == 1, value
+        assert "--cover-episodes must be <= 1000000" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cover_episodes": 10**8}))
+    assert main(["--config", str(cfg), "analyze", "--seed", "1", "--out", str(out)]) == 1
+    assert "--cover-episodes must be <= 1000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_family_z_is_sidak_per_row_bound():

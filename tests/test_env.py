@@ -316,6 +316,70 @@ def test_grid_broadphase_matches_dense_reference(count, seed, split_min_cells, m
     assert count == 0 or 0 < segments_free(env, a, b).mean() < 1
 
 
+RECIPE_WORLDS = {
+    # bench slopes (and the wide-database benchmark workload): 45 obstacles on 20x20.
+    "slopes-1234": (GeneratorSpec(bounds=(0.0, 0.0, 20.0, 20.0), obstacle_count=45, size_range=(1.5, 3.0), delta=0.4), 1234),
+    # bench annealing: 2000 obstacles on 30x30.
+    "annealing-7": (GeneratorSpec(bounds=(0.0, 0.0, 30.0, 30.0), obstacle_count=2000, size_range=(0.15, 0.45), delta=0.3), 7),
+}
+
+
+def _boundary_ends(env, rng):
+    """Obstacle corners and edge points, each exact, one ulp inside, one ulp
+    outside, and moved one ulp in, out or not at all per axis at random."""
+    o = env.obstacles[rng.permutation(env.obstacles.shape[0])[:48]]
+    along = rng.random((o.shape[0], 1))
+    on_edge = np.vstack(
+        [
+            o[:, [0, 1]], o[:, [2, 1]], o[:, [0, 3]], o[:, [2, 3]],
+            np.column_stack([o[:, 0] + along[:, 0] * (o[:, 2] - o[:, 0]), o[:, 3]]),
+            np.column_stack([o[:, 2], o[:, 1] + along[:, 0] * (o[:, 3] - o[:, 1])]),
+        ]
+    )
+    center = np.tile(0.5 * (o[:, :2] + o[:, 2:]), (6, 1))
+    inward = np.nextafter(on_edge, center)
+    outward = np.nextafter(on_edge, 2.0 * on_edge - center)
+    pick = rng.integers(0, 3, on_edge.shape)
+    mixed = np.choose(pick, [on_edge, inward, outward])
+    return np.vstack([on_edge, inward, outward, mixed])
+
+
+@pytest.mark.parametrize("world", sorted(RECIPE_WORLDS))
+def test_grid_segments_match_slab_reference_at_obstacle_boundaries(world, monkeypatch):
+    # Segments ending on, just inside and just outside obstacle boundaries,
+    # from random, axis-parallel, coincident and one-ulp-away starts, must get
+    # exactly the verdict of the dense slab test on the grid path.
+    spec, seed = RECIPE_WORLDS[world]
+    env = generate_random_env(spec, seed)
+    rng = np.random.default_rng(seed)
+    ends = _boundary_ends(env, rng)
+    n = ends.shape[0]
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    axis_parallel = ends.copy()
+    row, axis = np.arange(n), rng.integers(0, 2, n)
+    axis_parallel[row, axis] = rng.uniform(lo, hi, (n, 2))[row, axis]
+    starts = [rng.uniform(lo, hi, (n, 2)), axis_parallel, ends.copy(), _nudge(ends, rng)]
+    a = np.vstack(starts + [ends] * len(starts))
+    b = np.vstack([ends] * len(starts) + starts)
+    bad = rng.uniform(lo, hi, (12, 2))
+    bad[np.arange(12), np.arange(12) % 2] = np.tile([np.nan, np.inf, -np.inf], 4)
+    a = np.vstack([a, bad, ends[:12]])
+    b = np.vstack([b, ends[:12], bad])
+
+    inside = (np.isfinite(a) & (a >= lo) & (a <= hi) & np.isfinite(b) & (b >= lo) & (b <= hi)).all(axis=1)
+    hit = np.concatenate(
+        [envmod._segments_hit_rects(a[i : i + 256], b[i : i + 256], env.obstacles) for i in range(0, a.shape[0], 256)]
+    )
+    for limit in LIMITS:
+        monkeypatch.setattr(envmod, limit, 0)
+    for split_min_cells in (0, math.inf):
+        monkeypatch.setattr(envmod, "_SPLIT_MIN_CELLS", split_min_cells)
+        got = segments_free(env, a, b)
+        np.testing.assert_array_equal(got, inside & ~hit)
+    # Both verdicts occur among segments ending on a boundary.
+    assert 0 < got[: 4 * n].mean() < 1
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -143,6 +143,43 @@ def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, block):
             np.testing.assert_array_equal(got, expect)
 
 
+def einsum_nearest(coords, queries):
+    """Reference nearest-node search through one (rows, nodes, 2) difference array."""
+    diff = queries[:, None, :] - coords[None, :, :]
+    return np.argmin(np.einsum("kij,kij->ki", diff, diff), axis=1)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 37, 1000, 3000])
+def test_nearest_batch_matches_einsum_reference(rng, nodes):
+    # 300 queries run as one block up to 436 nodes and split into 3 and 7
+    # blocks of _NEAREST_BLOCK_PAIRS at 1000 and 3000 nodes.
+    coords = rng.uniform(-7.0, 13.0, size=(nodes, 2))
+    queries = np.vstack([rng.uniform(-9.0, 15.0, size=(297, 2)), coords[np.arange(3) % nodes]])  # 3 on a node
+    tree = Tree(coords[0])
+    for p in coords[1:]:
+        tree.add(p, 0)
+    got = tree.nearest_batch(queries)
+    assert got.dtype == np.intp and got.shape == (300,)
+    np.testing.assert_array_equal(got, einsum_nearest(tree.coords, queries))
+
+    # A shuffled integer lattice tree and integer and half-integer queries:
+    # every squared distance is exact, so equidistant nodes are common and
+    # each query must resolve to the lowest tied index.
+    side = np.arange(-30, 31)
+    lattice = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    lattice = lattice[rng.permutation(lattice.shape[0])[:nodes]].astype(float)
+    tree = Tree(lattice[0])
+    for p in lattice[1:]:
+        tree.add(p, 0)
+    queries = rng.integers(-64, 65, size=(300, 2)) / 2.0
+    got = tree.nearest_batch(queries)
+    np.testing.assert_array_equal(got, einsum_nearest(tree.coords, queries))
+    d2 = ((2 * queries[:, None, :] - 2 * lattice[None, :, :]) ** 2).sum(axis=2)  # exact integers
+    tied = d2 == d2.min(axis=1, keepdims=True)
+    np.testing.assert_array_equal(got, tied.argmax(axis=1))
+    assert nodes <= 2 or (tied.sum(axis=1) > 1).any()
+
+
 def test_tree_grows_past_initial_capacity(rng):
     tree = Tree((0.0, 0.0))
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
