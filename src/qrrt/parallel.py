@@ -3,8 +3,11 @@
 Workers are pure functions of (database value or seed, tree snapshot), so
 the pool runs them serially in worker-id order with per-worker RNG streams;
 the observable behavior is identical to a concurrent pool because nothing a
-worker reads is mutated until every worker has reported. The manager then
-admits candidates in worker-id order, discarding repeats.
+worker reads is mutated until every worker has reported. In the quantum
+modes every worker measures first, and the p measured rows then go through
+the finalizer oracle in one ``reachable_batch`` call, still charged as p
+finalizer calls. The manager then admits candidates in worker-id order,
+discarding repeats.
 
 Pool modes:
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qsim
+from . import dynamics, qsim
 from .dynamics import LinearSystem, reachable
 from .env import Environment, sample_uniform_batch
 from .planner import (
@@ -147,6 +150,37 @@ def _summary(record: TrialRecord, admitted: list[int], dups_before: int, calls_b
     )
 
 
+def _finalize(
+    env: Environment,
+    sys: LinearSystem,
+    indices: list[int],
+    parent_points: np.ndarray,
+    points: np.ndarray,
+    parent_index: np.ndarray,
+    record: TrialRecord,
+) -> list[WorkerResult]:
+    """Finalizer verification of every worker's measured row in one oracle batch.
+
+    Row w of the arrays is worker w's measurement. ``reachable_batch``
+    computes each row on its own, so one call gives what p single-row
+    calls would; each row is still charged as one finalizer call. The call
+    goes through the module attribute so that wrappers of
+    ``dynamics.reachable_batch`` see it.
+    """
+    record.calls_finalizer += len(indices)
+    verified = dynamics.reachable_batch(env, sys, parent_points, points)
+    return [
+        WorkerResult(
+            worker_id=wid,
+            measured_index=idx,
+            point=(float(points[wid, 0]), float(points[wid, 1])),
+            parent_index=int(parent_index[wid]),
+            verified=bool(verified[wid]),
+        )
+        for wid, idx in enumerate(indices)
+    ]
+
+
 def _shared_worker_phase(
     env: Environment,
     sys: LinearSystem,
@@ -158,27 +192,18 @@ def _shared_worker_phase(
     """Measurement + finalizer verification for every worker on one shared database.
 
     The amplified state is identical across workers (same database, same k),
-    so it is computed once; each worker still owns its measurement stream and
-    is charged its amplification share unless the pool uses shared accounting.
+    so it is computed once, and so is its Born-rule CDF (``qsim.measure``
+    keeps it on the state); each worker still owns its measurement stream
+    and is charged its amplification share unless the pool uses shared
+    accounting. All p measured rows are verified together.
     """
     pool = runtime.pool
     state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
     record.calls_amplification += k if pool.shared_amplification else k * pool.p
-    results = []
-    for wid in range(pool.p):
-        idx = qsim.measure(state, runtime.worker_rngs[wid])
-        record.calls_finalizer += 1
-        ok = reachable(env, sys, db.parent_points[idx], db.points[idx])
-        results.append(
-            WorkerResult(
-                worker_id=wid,
-                measured_index=idx,
-                point=(float(db.points[idx, 0]), float(db.points[idx, 1])),
-                parent_index=int(db.parent_index[idx]),
-                verified=bool(ok),
-            )
-        )
-    return results
+    indices = [qsim.measure(state, rng) for rng in runtime.worker_rngs]
+    return _finalize(
+        env, sys, indices, db.parent_points[indices], db.points[indices], db.parent_index[indices], record
+    )
 
 
 def pqrrt_manager_step(
@@ -227,33 +252,31 @@ def pqrrt_unshared_step(
     """Per-worker databases against one tree snapshot; admission stays ordered.
 
     All workers build and measure before anything is admitted, so every
-    database sees the same snapshot.
+    database sees the same snapshot; their measured rows are then verified
+    in one oracle batch.
     """
     if runtime.pool.mode != "unshared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run an unshared step")
     pool = runtime.pool
     dups_before = record.duplicates_discarded
     calls_before = record.total_calls()
-    results = []
-    for wid in range(pool.p):
-        wrng = runtime.worker_rngs[wid]
+    # A worker keeps only its measured row of its database, not the database.
+    indices = []
+    parent_points = np.empty((pool.p, 2))
+    points = np.empty((pool.p, 2))
+    parent_index = np.empty(pool.p, dtype=np.int64)
+    for wid, wrng in enumerate(runtime.worker_rngs):
         db = tag_database(env, sys, build_database(env, tree, n, wrng))
         record.per_step_m.append(db.m)
         k = resolve_iterations(mode, n, db.m)
         state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
         record.calls_amplification += k
         idx = qsim.measure(state, wrng)
-        record.calls_finalizer += 1
-        ok = reachable(env, sys, db.parent_points[idx], db.points[idx])
-        results.append(
-            WorkerResult(
-                worker_id=wid,
-                measured_index=idx,
-                point=(float(db.points[idx, 0]), float(db.points[idx, 1])),
-                parent_index=int(db.parent_index[idx]),
-                verified=bool(ok),
-            )
-        )
+        indices.append(idx)
+        parent_points[wid] = db.parent_points[idx]
+        points[wid] = db.points[idx]
+        parent_index[wid] = db.parent_index[idx]
+    results = _finalize(env, sys, indices, parent_points, points, parent_index, record)
     admitted: list[int] = []
     for res in results:
         if not res.verified:

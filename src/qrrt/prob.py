@@ -30,18 +30,25 @@ are complementary within pG^2; the tests pin both identities.
 The Monte Carlo helpers replay the draw process literally on a relabeled
 index set (goods first, then bads) and tally the same three statistics, so
 every closed form above has an independent numerical check. The collision
-tally first marks the all-solution rows. In the exact-oracle model a pick
-is a solution exactly when it took the good branch, so those are the rows
-whose uniforms all fell below pG, and only their good indices are compared;
-the noisy model merges good and bad picks and tests each index. All-same
-and all-distinct then come from pairwise column compares for narrow rows
-and from the sorted all-solution rows for wide ones. Coverage keeps, per
-episode, a packed bitset of the coupons seen (ceil(m/64) uint64 words, the
-bits past the last coupon preset), ORs in one bit per hit, and counts the
-words that have become full; an episode's draw count is the round in which
-its last word fills. How the draws are tallied never changes which random
-numbers are drawn: every chunk still draws the bad indices the exact-oracle
-tally never reads, and ``tests/test_prob.py`` pins seeded statistics.
+tally marks the all-solution rows. In the exact-oracle model a pick is a
+solution exactly when it took the good branch, so those are the rows whose
+uniforms all fell below pG, and only their good indices are compared; the
+noisy model merges good and bad picks and tests each index. All-same and
+all-distinct come from pairwise column compares for narrow rows and from
+sorted rows for wide ones. The tally streams: each chunk's draws run in
+sub-blocks of about 2^16 values that become per-row flags while they are in
+cache, so the kernel holds a few bytes per row instead of (rows, p) arrays
+of 8-byte values (the noisy model keeps its chunk's picks, which it must
+merge element by element). Picks are drawn as int32: for a range below
+2^32 numpy's bounded sampler gives the same values for int32 as for int64,
+and a split call continues the stream where the previous one stopped.
+Coverage keeps, per episode, a packed bitset of the coupons seen
+(ceil(m/64) uint64 words, the bits past the last coupon preset), ORs in one
+bit per hit, and counts the words that have become full; an episode's draw
+count is the round in which its last word fills. How the draws are tallied
+never changes which random numbers are drawn: every chunk still draws the
+bad indices the exact-oracle tally never reads, and ``tests/test_prob.py``
+pins seeded statistics.
 """
 
 from __future__ import annotations
@@ -198,8 +205,11 @@ def _check_pg(pG: float) -> None:
 # ---------------------------------------------------------------------------
 
 _DRAW_CHUNK = 250_000
+# Draws per sub-block of a chunk: a few hundred KiB of picks or uniforms,
+# small enough to stay in cache while they are turned into per-row flags.
+_BLOCK_DRAWS = 1 << 16
 # Widest row the collision tally compares column by column; wider rows are sorted.
-_COLUMN_MAX_P = 5
+_COLUMN_MAX_P = 10
 _FULL_WORD = np.uint64((1 << 64) - 1)
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
@@ -245,79 +255,103 @@ class MonteCarloStats:
         return math.sqrt(max(var, 0.0) / self.cover_episodes)
 
 
-def _rows_all(columns):
-    """Elementwise AND of a non-empty sequence of equal-length bool arrays.
+def _same_distinct(picks, same, distinct):
+    """Write each row's all-same and all-distinct flags into same and distinct.
 
-    One vectorized pass per column. numpy's row reductions (``.all(axis=1)``)
-    run a short inner loop per row and cost several times more on the
-    narrow (rows, p) arrays drawn here.
-    """
-    out = np.array(columns[0])
-    for col in columns[1:]:
-        out &= col
-    return out
-
-
-def _count_same_distinct(picks, keep):
-    """(all-same, all-distinct) counts over the rows of picks that keep marks.
-
-    Up to _COLUMN_MAX_P columns are compared pairwise in place; wider rows
-    are gathered and sorted, after which a row is all-same when its ends
-    agree and all-distinct when no adjacent pair does.
+    Up to _COLUMN_MAX_P columns are compared pairwise; wider rows are
+    sorted in place first, after which a row is all-same when its ends agree
+    and all-distinct when no adjacent pair does. The compares run on a
+    transposed copy, one contiguous array per column: strided columns cost
+    several times more, and so do numpy's row reductions
+    (``.all(axis=1)``), which run a short inner loop per row.
     """
     p = picks.shape[1]
-    if p <= _COLUMN_MAX_P:
-        cols = [picks[:, j] for j in range(p)]
-        same = _rows_all([keep] + [cols[0] == col for col in cols[1:]])
-        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-        distinct = _rows_all([keep] + [cols[i] != cols[j] for i, j in pairs])
+    if p > _COLUMN_MAX_P:
+        picks.sort(axis=1)
+        ends = [(0, p - 1)]
+        pairs = [(j - 1, j) for j in range(1, p)]
     else:
-        srt = np.compress(keep, picks, axis=0)
-        srt.sort(axis=1)
-        same = srt[:, 0] == srt[:, -1]
-        distinct = _rows_all([srt[:, j] != srt[:, j - 1] for j in range(1, p)])
-    return int(np.count_nonzero(same)), int(np.count_nonzero(distinct))
+        ends = [(0, j) for j in range(1, p)]
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    cols = np.ascontiguousarray(picks.T)
+    same.fill(True)
+    for i, j in ends:
+        same &= cols[i] == cols[j]
+    distinct.fill(True)
+    for i, j in pairs:
+        distinct &= cols[i] != cols[j]
+
+
+def _rows_and(flags, out):
+    """Write into out the AND of each row of the bool block flags."""
+    np.copyto(out, flags[:, 0])
+    for j in range(1, flags.shape[1]):
+        out &= flags[:, j]
 
 
 def _tally(n, m, p, pG, trials, rng, noisy=None):
     """Count all-same-solution and all-distinct-solution rows over the trials.
 
-    Every chunk draws its good indices, then its bad indices, then the
-    uniforms that choose between them, even where a tally reads only some of
-    them, so the random stream never depends on how it is tallied.
+    Every chunk of _DRAW_CHUNK rows draws its good indices, then its bad
+    indices, then the uniforms that choose between them, even where a tally
+    reads only some of them, so the random stream never depends on how it is
+    tallied. Each of the three draws runs in sub-blocks of about _BLOCK_DRAWS
+    values; the generator carries its state from call to call, so split
+    calls continue the same stream.
 
     Plain model (noisy=None): a pick is a solution exactly when it took the
     good branch, so a row is all-solution when all its uniforms are below
-    pG, and only those rows' good indices are compared. Noisy model
-    (noisy=(m1, m2)): the picks merge into one relabeled index (goods
+    pG. The good picks become per-row all-same and all-distinct flags one
+    sub-block at a time, the bad picks are drawn and dropped, and the
+    uniforms fill one reused buffer whose rows are ANDed into the flags:
+    the kernel holds a few bytes per row, never a (rows, p) array. Noisy
+    model (noisy=(m1, m2)): the picks merge into one relabeled index (goods
     0..m-1, bads m..N-1) whose solutions are the indices below m1 and those
-    in [m, m + m2), and again only all-solution rows are compared.
+    in [m, m + m2). That needs a good pick, a bad pick and a uniform per
+    element, so the chunk keeps its good and bad picks and streams the
+    uniforms.
     """
     size = 2**n
+    block = max(1, _BLOCK_DRAWS // p)
+    uniforms = np.empty((min(block, trials), p))
     count_same = 0
     count_diff = 0
     done = 0
     while done < trials:
         rows = min(_DRAW_CHUNK, trials - done)
         done += rows
-        picks = rng.integers(0, m, size=(rows, p))
-        if size == m:
-            keep = np.ones(rows, dtype=bool)
-        elif noisy is None:
-            rng.integers(0, size - m, size=(rows, p))  # bad picks never solve; drawn for the stream
-            take_good = rng.random((rows, p)) < pG
-            keep = _rows_all([take_good[:, j] for j in range(p)])
+        same = np.empty(rows, dtype=bool)
+        distinct = np.empty(rows, dtype=bool)
+        keep = np.ones(rows, dtype=bool)
+        blocks = [slice(lo, min(lo + block, rows)) for lo in range(0, rows, block)]
+        if noisy is None:
+            for b in blocks:
+                picks = rng.integers(0, m, size=(b.stop - b.start, p), dtype=np.int32)
+                _same_distinct(picks, same[b], distinct[b])
+            if size != m:
+                for b in blocks:  # bad picks never solve; drawn for the stream
+                    rng.integers(0, size - m, size=(b.stop - b.start, p), dtype=np.int32)
+                for b in blocks:
+                    u = uniforms[: b.stop - b.start]
+                    rng.random(out=u)
+                    _rows_and(u < pG, keep[b])
         else:
             m1, m2 = noisy
-            bad = rng.integers(0, size - m, size=(rows, p))
-            bad += m
-            np.copyto(bad, picks, where=rng.random((rows, p)) < pG)
-            picks = bad
-            solution = (picks < m1) | ((picks >= m) & (picks < m + m2))
-            keep = _rows_all([solution[:, j] for j in range(p)])
-        same, diff = _count_same_distinct(picks, keep)
-        count_same += same
-        count_diff += diff
+            good = rng.integers(0, m, size=(rows, p), dtype=np.int32)
+            merged = rng.integers(0, size - m, size=(rows, p), dtype=np.int32)
+            merged += m
+            for b in blocks:
+                u = uniforms[: b.stop - b.start]
+                rng.random(out=u)
+                picks = merged[b]
+                np.copyto(picks, good[b], where=u < pG)
+                solution = (picks < m1) | ((picks >= m) & (picks < m + m2))
+                _rows_and(solution, keep[b])
+                _same_distinct(picks, same[b], distinct[b])
+        same &= keep
+        distinct &= keep
+        count_same += int(np.count_nonzero(same))
+        count_diff += int(np.count_nonzero(distinct))
     return count_same, count_diff
 
 

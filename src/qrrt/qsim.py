@@ -28,7 +28,14 @@ means and a few passes over the vector evolve any real state, not only the
 uniform start.
 
 Oracle-call accounting: each iteration is one oracle call, tracked on the
-state. Measurement samples the Born rule and never mutates the state.
+state. Measurement samples the Born rule and never changes what the state
+describes. A pooled round has p workers measure one state, so the first
+``measure`` stores the Born-rule CDF ``cumsum(amplitudes**2)`` on the state
+and every later call searches that same array: one O(2^n) pass per state
+instead of one per worker, at 8 bytes per amplitude for as long as the state
+lives. The amplitudes are then made read-only, so an in-place write cannot
+leave the stored CDF stale; ``amplify`` and ``grover_iterate`` never write
+to their input and return a fresh, writable state.
 
 Edge cases follow the uniform-state algebra: m = 0 leaves the state untouched
 (the iteration still counts as an oracle call); m = N keeps the good
@@ -38,7 +45,7 @@ probability at exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,13 +84,19 @@ def _check_counts(n: int, m: int) -> tuple[int, int]:
 
 @dataclass
 class AmplifiedState:
-    """Real statevector plus the good-index mask and per-state call counters."""
+    """Real statevector plus the good-index mask and per-state call counters.
+
+    ``cdf`` is filled by the first ``measure`` and is not part of the
+    state's value: it takes no constructor argument and is left out of
+    ``repr`` and equality.
+    """
 
     n: int
     amplitudes: np.ndarray  # float64, shape (2^n,)
     good_mask: np.ndarray  # bool, shape (2^n,)
     iterations_applied: int = 0
     oracle_calls: int = 0
+    cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -223,9 +236,18 @@ def state_good_probability(state: AmplifiedState) -> float:
 
 
 def measure(state: AmplifiedState, rng: np.random.Generator) -> int:
-    """Born-rule sample of one basis index. The state is not mutated."""
-    probs = state.amplitudes**2
-    cdf = np.cumsum(probs)
+    """Born-rule sample of one basis index from one ``rng.random()`` draw.
+
+    The first call on a state builds its CDF, the same bits as
+    ``np.cumsum(state.amplitudes**2)``, stores it on the state and freezes
+    the amplitudes; later calls only search it.
+    """
+    cdf = state.cdf
+    if cdf is None:
+        cdf = np.square(state.amplitudes)
+        np.cumsum(cdf, out=cdf)
+        state.amplitudes.flags.writeable = False
+        state.cdf = cdf
     u = rng.random() * cdf[-1]
     idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, probs.shape[0] - 1)
+    return min(idx, cdf.shape[0] - 1)

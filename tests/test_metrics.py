@@ -25,7 +25,7 @@ from qrrt.metrics import (
     write_records_csv,
 )
 from qrrt.parallel import WorkerPool
-from qrrt.planner import TemperatureSchedule, Tree
+from qrrt.planner import TemperatureSchedule, Tree, resolve_iterations
 from qrrt.qsim import MAX_DATABASE_QUBITS
 from qrrt.records import TrialRecord
 
@@ -146,6 +146,57 @@ def test_cutoff_run_prefix_monotone(box_env, system):
     large = cutoff_run(cfg, box_env, system, 20, seed=9)
     assert large.nodes_admitted >= small.nodes_admitted
     assert large.cutoff_calls() >= small.cutoff_calls()
+
+
+def _every_algorithm(mode="optimal", n=5, p=3, seed_base=3):
+    sched = TemperatureSchedule(stages=((8, 1.0, 2.0),))
+    return [
+        AlgorithmConfig(name="rrt"),
+        AlgorithmConfig(name="qrrt", n=n, mode=mode),
+        AlgorithmConfig(name="qda", n=n, mode=mode, schedule=sched),
+        AlgorithmConfig(name="prrt", pool=WorkerPool(p=p, mode="classical", seed_base=seed_base)),
+        AlgorithmConfig(
+            name="pqrrt-shared", n=n, mode=mode, pool=WorkerPool(p=p, mode="shared", seed_base=seed_base)
+        ),
+        AlgorithmConfig(
+            name="pqrrt-unshared", n=n, mode=mode, pool=WorkerPool(p=p, mode="unshared", seed_base=seed_base)
+        ),
+    ]
+
+
+def _last_step_cutoff_cost(cfg, rec):
+    """Cutoff-counted calls of a run's last step (a bound for prrt's retries)."""
+    if cfg.name == "rrt":
+        return 1
+    if cfg.name == "prrt":
+        return cfg.pool.p * cfg.pool.per_worker_budget
+    ms = rec.per_step_m[-cfg.pool.p :] if cfg.name == "pqrrt-unshared" else rec.per_step_m[-1:]
+    cost = sum(resolve_iterations(cfg.mode, cfg.n, m) for m in ms)
+    return cost * cfg.pool.p if cfg.name == "pqrrt-shared" else cost
+
+
+def _check_record_invariants(rec):
+    assert rec.total_calls() == rec.calls_amplification + rec.calls_finalizer + rec.calls_classical
+    assert len(rec.calls_at_admission) == rec.nodes_admitted
+    assert all(a <= b for a, b in zip(rec.calls_at_admission, rec.calls_at_admission[1:]))
+    if rec.calls_at_admission:
+        assert 1 <= rec.calls_at_admission[0] and rec.calls_at_admission[-1] <= rec.total_calls()
+
+
+@pytest.mark.parametrize("mode,seed", [("optimal", 17), ("optimal", 18), (3, 19), (3, 20)])
+def test_record_invariants_hold_for_every_algorithm(box_env, system, mode, seed):
+    # At n = 5 the optimal k is 1 on this world; a fixed k = 3 makes a pooled
+    # step cost 9 cutoff-counted calls, so a cutoff can be overshot.
+    for cfg in _every_algorithm(mode):
+        _check_record_invariants(run_trial(cfg, box_env, system, seed=seed, target_nodes=6).record)
+        for cutoff in (5, 40):
+            result = run_trial(cfg, box_env, system, seed=seed, cutoff=cutoff)
+            rec = result.record
+            _check_record_invariants(rec)
+            # The run stops at the first step that reaches the budget, so it
+            # overshoots by less than that step's own cost.
+            assert rec.cutoff_calls() - _last_step_cutoff_cost(cfg, rec) < cutoff, cfg.name
+            assert result.goal_found or rec.cutoff_calls() >= cutoff, cfg.name
 
 
 # ---------------------------------------------------------------------------

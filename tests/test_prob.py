@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrrt import prob as prob_module
 from qrrt.cli import _analyze_grid
 from qrrt.prob import (
     MonteCarloStats,
@@ -17,6 +18,7 @@ from qrrt.prob import (
     expected_workers_all_solutions,
     expected_workers_noisy,
     harmonic,
+    _tally,
     monte_carlo_parallel_draws,
     prob_all_different,
     prob_all_same,
@@ -433,6 +435,51 @@ def test_mc_tally_across_chunk_boundaries(monkeypatch):
     monkeypatch.setattr("qrrt.prob._DRAW_CHUNK", 7_000)
     mdl = ParallelSearchModel(n=4, m=4, p=3, pG=0.6)
     assert _stream_stats(mdl, {"cover_episodes": 0}, 200) == _PINNED_STATS["chunked"]
+
+
+def _case_width(mdl, kwargs):
+    return kwargs.get("p", getattr(mdl, "p", None))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_mc_tally_sub_blocks_keep_the_stream(monkeypatch, block_rows):
+    # Sub-blocks of 1, 3 and 7 rows split the draws at other places than the
+    # default 2^16 draws, and 400-row chunks add chunk ends inside the first
+    # 1,000 trials. Row-sized sub-blocks cost a Python round trip a row, so
+    # each case runs 1,000 trials against the default sub-blocks here; the
+    # pinned full-size figures are checked with odd sub-blocks below.
+    monkeypatch.setattr("qrrt.prob._DRAW_CHUNK", 400)
+    default = prob_module._BLOCK_DRAWS
+    for name, mdl, kwargs, seed in _STREAM_CASES:
+        case = {**kwargs, "trials": min(kwargs.get("trials", _GRID_TRIALS), 1000), "cover_episodes": 0}
+        monkeypatch.setattr("qrrt.prob._BLOCK_DRAWS", default)
+        want = _stream_stats(mdl, case, seed)
+        monkeypatch.setattr("qrrt.prob._BLOCK_DRAWS", block_rows * _case_width(mdl, kwargs))
+        assert _stream_stats(mdl, case, seed) == want, name
+
+
+def test_mc_replays_pinned_streams_in_odd_sub_blocks(monkeypatch):
+    # 1,009-row sub-blocks: at the default size a 20,000-trial case of width
+    # 2 or 3 fits in one sub-block, so this is where those cases split.
+    for name, mdl, kwargs, seed in _STREAM_CASES:
+        monkeypatch.setattr("qrrt.prob._BLOCK_DRAWS", 1009 * _case_width(mdl, kwargs))
+        got = _stream_stats(mdl, {**kwargs, "cover_episodes": 0}, seed)
+        assert got[:3] == _PINNED_STATS[name][:3], name
+
+
+def test_mc_plain_tally_memory_is_bounded():
+    # One 250,000-row chunk at p = 16 used to hold (rows, p) arrays of 8-byte
+    # picks and uniforms, a traced peak of about 65 MiB; the streamed tally
+    # keeps a few bytes per row.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(300,)))
+    tracemalloc.start()
+    try:
+        counts = _tally(10, 512, 16, 0.99, 250_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (0, 168263)
+    assert peak < 8 * 2**20
 
 
 class _SweepStream:

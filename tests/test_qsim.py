@@ -1,5 +1,6 @@
 """Exact amplitude-amplification simulation: statevector vs two-level closed form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -296,6 +297,60 @@ def test_measure_does_not_mutate_state(rng):
     before = s.amplitudes.copy()
     measure(s, rng)
     assert np.array_equal(s.amplitudes, before)
+
+
+def _measure_rebuilding_cdf(state, rng):
+    """Born-rule sample that builds the CDF afresh on every call."""
+    probs = state.amplitudes**2
+    cdf = np.cumsum(probs)
+    u = rng.random() * cdf[-1]
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    return min(idx, probs.shape[0] - 1)
+
+
+def test_repeated_measure_matches_a_cdf_rebuilt_per_call(rng):
+    # A pool measures one state p times; every call after the first reuses
+    # the state's CDF and must pick what a rebuilt CDF picks, bit for bit.
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        good = mask(n, rng.choice(2**n, size=int(rng.integers(0, 2**n + 1)), replace=False))
+        amps = rng.standard_normal(2**n)
+        uniform = init_uniform(n, good)
+        states = [
+            uniform,
+            amplify(uniform, 0),  # the same object
+            AmplifiedState(n=n, amplitudes=amps / np.linalg.norm(amps), good_mask=good),
+            amplify(init_uniform(n, good), int(rng.integers(1, 20))),
+        ]
+        for state in states:
+            seed = int(rng.integers(2**32))
+            ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = int(rng.integers(1, 17))
+            want = [_measure_rebuilding_cdf(state, ref_rng) for _ in range(p)]
+            assert [measure(state, got_rng) for _ in range(p)] == want
+
+
+def test_measured_state_freezes_its_amplitudes(rng):
+    s = amplify(init_uniform(5, mask(5, [3, 17])), 2)
+    s.amplitudes[0] = s.amplitudes[0]  # writable before the first measure
+    measure(s, rng)
+    with pytest.raises(ValueError):
+        s.amplitudes[0] = 0.0
+    # Evolving a measured state still gives a fresh, writable state.
+    nxt = amplify(s, 1)
+    assert nxt.cdf is None and nxt.amplitudes.flags.writeable
+    assert amplify(s, 0) is s
+
+
+def test_state_cdf_is_not_part_of_its_value(rng):
+    s = amplify(init_uniform(4, mask(4, [5])), 2)
+    twin = dataclasses.replace(s)
+    measure(s, rng)
+    assert s.cdf is not None and twin.cdf is None
+    assert s == twin
+    assert "cdf" not in repr(s)
+    with pytest.raises(TypeError):
+        AmplifiedState(n=4, amplitudes=s.amplitudes, good_mask=s.good_mask, cdf=s.cdf)
 
 
 def test_state_m_property():
