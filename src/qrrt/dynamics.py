@@ -13,9 +13,14 @@ Stability of A - B K (spectral radius < 1) is enforced when a LinearSystem
 is constructed; configs that fail the check are rejected with the offending
 eigenvalues in the diagnostic, never silently accepted.
 
-reachable_batch runs its rows through the horizon loop in fixed blocks and
-carries only the rows still in flight from step to step, so its memory does
-not grow with the number of rows. Results do not depend on the block size.
+reachable_batch streams its rows through one queue of at most
+_REACH_BLOCK_ROWS live rows. Each iteration advances every live row by one
+step; a row leaves the queue when it collides, captures or runs out of
+horizon, counted from the iteration at which it joined. When half a block or
+less is left in flight, the next rows join after the step-0 tests (capture
+and free target). So memory does not grow with the number of rows, and a
+call runs one dwindling tail of small steps rather than one per block.
+Results do not depend on the block size or on which rows share a step.
 """
 
 from __future__ import annotations
@@ -56,9 +61,9 @@ DEFAULT_GAIN = ((-4.5, -5.2), (1.0, 2.4))
 # guard has a concrete config to reject.
 UNSTABLE_EXAMPLE_GAIN = ((1.9, -7.5), (1.0, 7.0))
 
-# Rows per block of reachable_batch's horizon loop. On the 2000-obstacle
+# Most rows reachable_batch keeps in flight at once. On the 2000-obstacle
 # annealing world a row's first, longest segments cost about 4.5 KiB of
-# collision temporaries, so a block peaks near 36 MiB.
+# collision temporaries, so a full queue peaks near 36 MiB.
 _REACH_BLOCK_ROWS = 8192
 
 
@@ -140,47 +145,67 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
     (True). Rows whose targets are not in free space are False outright,
     which also covers annealed targets reprojected outside the bounds.
 
-    Rows run through the horizon loop in blocks of _REACH_BLOCK_ROWS, so the
-    temporaries stay the same size however many rows a call holds. Every
-    row's arithmetic involves that row alone, so results do not depend on
-    the block size or on which other rows share the call.
+    Rows stream through one queue of at most _REACH_BLOCK_ROWS live rows,
+    so the temporaries stay the same size however many rows a call holds.
+    Every iteration advances each live row one step, and a row that has
+    taken sys.horizon steps since it joined is retired (False). Whenever
+    half a block or less is in flight, the next rows join: those captured
+    at step 0 with a free target are True at once, and only the others
+    enter the queue. A call that fits in one block joins once and runs the
+    plain horizon loop. Every row's arithmetic involves that row alone, so
+    results do not depend on the block size or on which other rows share a
+    step.
     """
     parents = np.asarray(parents, dtype=float).reshape(-1, 2)
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     if parents.shape != targets.shape:
         raise ValueError("parents and targets must pair up")
-    result = np.zeros(parents.shape[0], dtype=bool)
-    for start in range(0, parents.shape[0], _REACH_BLOCK_ROWS):
-        block = slice(start, start + _REACH_BLOCK_ROWS)
-        result[block] = _reachable_block(env, sys, parents[block], targets[block])
-    return result
-
-
-def _reachable_block(env: Environment, sys: LinearSystem, parents: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """reachable_batch on one block, carrying only the live rows from step to step."""
+    total = parents.shape[0]
     rc = _capture_radius(env, sys)
     rc2 = rc * rc
-    result = np.zeros(parents.shape[0], dtype=bool)
-    err = parents - targets
-    captured = np.einsum("ij,ij->i", err, err) <= rc2
-    free = points_free(env, targets)
-    result[free & captured] = True
-    live = np.flatnonzero(free & ~captured)
-    err, targets, x_prev = err[live], targets[live], parents[live]
+    result = np.zeros(total, dtype=bool)
     # Columns of A - B K; e @ (A - B K)^T written out per row, because a
     # matmul rounds a lone row differently from the same row in a batch.
     col0, col1 = sys.a_cl[:, 0], sys.a_cl[:, 1]
-    for _ in range(sys.horizon):
+    # The queue, in row order: row index, error, target and last point.
+    live = np.zeros(0, dtype=np.intp)
+    err = targets_live = x_prev = np.zeros((0, 2))
+    # (step at which a join runs out of horizon, first row after it), in join order.
+    expiry: list[tuple[int, int]] = []
+    joined = 0
+    step = 0
+    while True:
+        while live.size <= _REACH_BLOCK_ROWS // 2 and joined < total:
+            stop = min(total, joined + _REACH_BLOCK_ROWS - live.size)
+            p, t = parents[joined:stop], targets[joined:stop]
+            e = p - t
+            captured = np.einsum("ij,ij->i", e, e) <= rc2
+            free = points_free(env, t)
+            result[joined:stop] = free & captured
+            new = (free & ~captured).nonzero()[0]
+            rows = [new + joined, e.take(new, axis=0), t.take(new, axis=0), p.take(new, axis=0)]
+            if live.size:
+                rows = [np.concatenate(pair) for pair in zip((live, err, targets_live, x_prev), rows)]
+            live, err, targets_live, x_prev = rows
+            expiry.append((step + sys.horizon, stop))
+            joined = stop
         if live.size == 0:
             break
         err = err[:, :1] * col0 + err[:, 1:] * col1
-        x_next = targets + err
+        x_next = targets_live + err
         seg_ok = segments_free(env, x_prev, x_next)
         captured = seg_ok & (np.einsum("ij,ij->i", err, err) <= rc2)
         result[live[captured]] = True
         keep = seg_ok & ~captured
+        step += 1
+        while expiry and expiry[0][0] == step:
+            # Rows that joined horizon steps ago lead the queue, which is in row order.
+            keep[: live.searchsorted(expiry.pop(0)[1])] = False
         if not keep.all():
-            live, err, targets, x_next = live[keep], err[keep], targets[keep], x_next[keep]
+            # Gather by row index: boolean-mask indexing of (rows, 2) arrays
+            # costs several times more.
+            kept = keep.nonzero()[0]
+            live, err, targets_live, x_next = (a.take(kept, axis=0) for a in (live, err, targets_live, x_next))
         x_prev = x_next
     return result
 

@@ -218,6 +218,7 @@ class _Grid:
         side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
         self.shape = np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp)  # (nx, ny)
         self.cell = size / self.shape  # cell side per axis
+        self.top = (self.shape - 1).astype(float)  # highest cell coordinate per axis
         # Segment box margin: a few ulps of the largest coordinate bound every
         # rounding error of the slab formula and of the segment pieces on
         # in-bounds segments, with margin to spare.
@@ -237,7 +238,8 @@ class _Grid:
         """
         t = pts - self.origin
         t /= self.cell
-        np.clip(t, 0, self.shape - 1, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, self.top, out=t)
         return t.astype(np.intp)
 
     def box_cells(self, box_lo: np.ndarray, box_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

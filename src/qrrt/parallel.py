@@ -35,6 +35,7 @@ from .planner import (
     PlanResult,
     Tree,
     _admit_candidate,
+    _stop,
     build_database,
     extract_path,
     resolve_iterations,
@@ -369,13 +370,7 @@ def run_parallel_plan(
         if np.array_equal(env.x0, env.xG):
             tree.goal_index = 0
         steps = 0
-        while True:
-            if tree.goal_index is not None or steps >= config.max_steps:
-                break
-            if target_nodes is not None and record.nodes_admitted >= target_nodes:
-                break
-            if cutoff is not None and record.cutoff_calls() >= cutoff:
-                break
+        while not _stop(record, tree, steps, config.max_steps, target_nodes, cutoff):
             if pool.mode == "shared":
                 pqrrt_manager_step(env, sys, tree, config.n, runtime, config.mode, rng, record)
             elif pool.mode == "unshared":

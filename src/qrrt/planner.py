@@ -45,7 +45,6 @@ __all__ = [
     "Database",
     "TemperatureSchedule",
     "PlanResult",
-    "nearest",
     "build_database",
     "build_database_annealed",
     "tag_database",
@@ -115,6 +114,7 @@ class Tree:
         return idx
 
     def nearest(self, point) -> int:
+        """Index of the closest tree node; ties resolve to the lowest index."""
         point = np.asarray(point, dtype=float).reshape(2)
         d = self.coords - point
         return int(np.argmin(np.einsum("ij,ij->i", d, d)))
@@ -143,11 +143,6 @@ class Tree:
             d2 += dy
             out[start : start + rows] = d2.argmin(axis=1)
         return out
-
-
-def nearest(tree: Tree, point) -> int:
-    """Index of the closest tree node; ties resolve to the lowest index."""
-    return tree.nearest(point)
 
 
 @dataclass(frozen=True)

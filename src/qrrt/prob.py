@@ -39,9 +39,10 @@ sorted rows for wide ones. The tally streams: each chunk's draws run in
 sub-blocks of about 2^16 values that become per-row flags while they are in
 cache, so the kernel holds a few bytes per row instead of (rows, p) arrays
 of 8-byte values (the noisy model keeps its chunk's picks, which it must
-merge element by element). Picks are drawn as int32: for a range below
-2^32 numpy's bounded sampler gives the same values for int32 as for int64,
-and a split call continues the stream where the previous one stopped.
+merge element by element, so its chunks hold at most 2^21 picks). Picks
+are drawn as int32: for a range below 2^32 numpy's bounded sampler gives
+the same values for int32 as for int64, and a split call continues the
+stream where the previous one stopped.
 Coverage keeps, per episode, a packed bitset of the coupons seen
 (ceil(m/64) uint64 words, the bits past the last coupon preset), ORs in one
 bit per hit, and counts the words that have become full; an episode's draw
@@ -208,6 +209,8 @@ _DRAW_CHUNK = 250_000
 # Draws per sub-block of a chunk: a few hundred KiB of picks or uniforms,
 # small enough to stay in cache while they are turned into per-row flags.
 _BLOCK_DRAWS = 1 << 16
+# Most picks per noisy-tally chunk; each is held twice, as a good and a bad int32.
+_NOISY_CHUNK_DRAWS = 1 << 21
 # Widest row the collision tally compares column by column; wider rows are sorted.
 _COLUMN_MAX_P = 10
 _FULL_WORD = np.uint64((1 << 64) - 1)
@@ -309,16 +312,19 @@ def _tally(n, m, p, pG, trials, rng, noisy=None):
     0..m-1, bads m..N-1) whose solutions are the indices below m1 and those
     in [m, m + m2). That needs a good pick, a bad pick and a uniform per
     element, so the chunk keeps its good and bad picks and streams the
-    uniforms.
+    uniforms; its chunk is capped at _NOISY_CHUNK_DRAWS picks, so those two
+    int32 arrays take at most 16 MiB at any p. The cap is above
+    _DRAW_CHUNK rows up to p = 8, so those streams keep their chunks.
     """
     size = 2**n
+    chunk = _DRAW_CHUNK if noisy is None else max(1, min(_DRAW_CHUNK, _NOISY_CHUNK_DRAWS // p))
     block = max(1, _BLOCK_DRAWS // p)
     uniforms = np.empty((min(block, trials), p))
     count_same = 0
     count_diff = 0
     done = 0
     while done < trials:
-        rows = min(_DRAW_CHUNK, trials - done)
+        rows = min(chunk, trials - done)
         done += rows
         same = np.empty(rows, dtype=bool)
         distinct = np.empty(rows, dtype=bool)

@@ -236,6 +236,43 @@ def test_reachable_batch_blocks_match_one_block(monkeypatch, rng, gain, block):
         np.testing.assert_array_equal(got, expect)
 
 
+def streaming_rows(env, sys, rng):
+    """Rows in random order that settle at step 0, at later steps or only past the horizon.
+
+    Besides random pairs at several distances, some targets lie inside an
+    obstacle or outside the bounds with the parent within the capture
+    radius: captured at step 0, they are reachable only if the target test
+    is skipped.
+    """
+    rc = env.delta if sys.capture_radius is None else sys.capture_radius
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    parents = rng.uniform(lo, hi, size=(150, 2))
+    scale = np.repeat([0.3, 1.0, 3.0, 10.0], 30)[:, None] * rc * rng.normal(size=(120, 2))
+    targets = parents.copy()
+    targets[:120] += scale
+    corners = env.obstacles[:20, :2] + 1e-9
+    targets[120:140] = corners
+    parents[120:140] = corners - 0.5 * rc
+    targets[140:] = lo - 0.5 * rc * rng.uniform(size=(10, 2))
+    parents[140:] = targets[140:] + 0.6 * rc
+    order = rng.permutation(150)
+    return parents[order], targets[order]
+
+
+@pytest.mark.parametrize("gain", [DEFAULT_GAIN, ((-4.0, -5.0), (1.2, 2.5))], ids=["diagonal", "coupled"])
+@pytest.mark.parametrize("horizon", [3, 20])
+def test_reachable_batch_streamed_rows_match_scalar_oracle(monkeypatch, rng, gain, horizon):
+    spec = envmod.GeneratorSpec(bounds=(0.0, 0.0, 20.0, 20.0), obstacle_count=45, size_range=(1.5, 3.0), delta=0.4)
+    env = envmod.generate_random_env(spec, 1234)
+    sys = LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=gain, horizon=horizon)
+    parents, targets = streaming_rows(env, sys, rng)
+    expect = np.array([scalar_reachable(env, sys, p, t) for p, t in zip(parents, targets)])
+    assert 10 < expect.sum() < 140
+    for block in (1, 3, 7, 16):
+        monkeypatch.setattr(dynamics, "_REACH_BLOCK_ROWS", block)
+        np.testing.assert_array_equal(reachable_batch(env, sys, parents, targets), expect)
+
+
 def test_reachable_deterministic(box_env, system):
     args = (box_env, system, (1.0, 1.0), (7.5, 2.5))
     assert reachable(*args) == reachable(*args)

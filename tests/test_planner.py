@@ -20,7 +20,6 @@ from qrrt.planner import (
     build_database_annealed,
     extract_path,
     extract_path_indices,
-    nearest,
     qrrt_plan,
     qrrt_step,
     resolve_iterations,
@@ -89,7 +88,7 @@ def test_nearest_tie_resolves_to_lowest_index():
     tree = Tree((0.0, 0.0))
     tree.add((2.0, 0.0), 0)
     # (1, 0) is exactly equidistant; the earlier node wins.
-    assert nearest(tree, (1.0, 0.0)) == 0
+    assert tree.nearest((1.0, 0.0)) == 0
 
 
 def test_nearest_matches_brute_force(rng):

@@ -482,6 +482,21 @@ def test_mc_plain_tally_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def test_mc_noisy_tally_memory_is_bounded():
+    # The noisy tally holds its chunk's good and bad int32 picks. A 250,000-row
+    # chunk at p = 64 would hold 122 MiB of them; a chunk is capped at 2^21
+    # picks, 16 MiB, whatever p is.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(301,)))
+    tracemalloc.start()
+    try:
+        counts = _tally(14, 4096, 64, 0.999, 250_000, rng, noisy=(4000, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert counts == (0, 30913)
+
+
 class _SweepStream:
     """Stand-in rng for coverage: every draw hits, and each round gives
     episode e the coupon (round + e) mod m, so all episodes cover in round m."""
