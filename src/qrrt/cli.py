@@ -3,9 +3,16 @@
 Exit codes: 0 success, 1 configuration error (bad flags, malformed files,
 missing seeds), 2 runtime failure, 3 analyze tolerance violation.
 
-Every command requires explicit seeds; none are ever invented. A JSON file
-passed via --config supplies per-flag defaults (keys are flag destination
-names); explicit command-line flags always win.
+Every command requires explicit seeds; none are ever invented. Every seed
+(--seed, --seed-base, --pool-seed-base, --pool-seeds) must be a non-negative
+integer, which numpy's SeedSequence needs; any other value exits 1. A JSON
+file passed via --config supplies per-flag defaults (keys are flag
+destination names); explicit command-line flags always win.
+
+Every command creates the directories its outputs need: plan and bench
+write into the directory --out, analyze and gen-env write the file --out,
+and --dump-amplitudes names a file. A path that cannot be written is a
+runtime failure (exit 2).
 
 All outputs are plain CSV/JSON/PGM files written deterministically; the
 wall-clock column of record CSVs is the only non-reproducible field.
@@ -72,11 +79,29 @@ def _parse_schedule(text: str) -> planner.TemperatureSchedule:
         raise ConfigError(str(exc))
 
 
+# Destination names of the seed flags across all subcommands.
+_SEED_FLAGS = ("seed", "seed_base", "pool_seed_base")
+
+
+def _check_seed(flag: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{flag} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _check_seeds(args) -> None:
+    """The one seed check of every subcommand, on flags and config values alike."""
+    for dest in _SEED_FLAGS:
+        if getattr(args, dest, None) is not None:
+            _check_seed("--" + dest.replace("_", "-"), getattr(args, dest))
+
+
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        seeds = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad seed list {text!r}: {exc}")
+    return tuple(_check_seed("--pool-seeds", s) for s in seeds)
 
 
 def _load_env(path) -> envmod.Environment:
@@ -101,8 +126,14 @@ def _load_system(path) -> dynamics.LinearSystem:
         raise ConfigError(f"bad system file {path}: {exc}")
 
 
+def _file_output(path):
+    """An output file's path, with its missing directories created."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _write_lines(path, lines) -> None:
-    with open(path, "w") as fh:
+    with open(_file_output(path), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -128,7 +159,7 @@ def _cmd_gen_env(args) -> int:
         environment = envmod.generate_random_env(spec, args.seed)
     except (ValueError, envmod.EnvGenerationError) as exc:
         raise ConfigError(f"environment generation failed: {exc}")
-    envmod.save_environment(environment, args.out)
+    envmod.save_environment(environment, _file_output(args.out))
     print(f"wrote {args.out}: {environment.obstacles.shape[0]} obstacles, seed {args.seed}")
     return 0
 
@@ -784,6 +815,7 @@ def main(argv=None) -> int:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         args = parser.parse_args(argv)
+        _check_seeds(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)

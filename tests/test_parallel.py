@@ -3,19 +3,28 @@
 import numpy as np
 import pytest
 
+from qrrt import dynamics, parallel, planner, qsim
 from qrrt.env import Environment
 from qrrt.parallel import (
     ParallelPlanConfig,
     PoolRuntime,
     WorkerPool,
-    _shared_worker_phase,
     pqrrt_manager_step,
     pqrrt_unshared_step,
     prrt_manager_step,
     run_parallel_plan,
     worker_seed_sequences,
 )
-from qrrt.planner import Tree, build_database, qrrt_plan, resolve_iterations, rrt_step, tag_database
+from qrrt.planner import (
+    TemperatureSchedule,
+    Tree,
+    _measure_and_finalize,
+    build_database,
+    qrrt_plan,
+    qrrt_step,
+    rrt_step,
+    tag_database,
+)
 from qrrt.records import TrialRecord
 
 
@@ -112,28 +121,103 @@ def test_shared_step_matches_independent_replay(box_env, system):
     db = tag_database(
         box_env, system, build_database(box_env, Tree(box_env.x0), 6, np.random.default_rng(55))
     )
-    k = resolve_iterations("optimal", 6, db.m)
-    results = _shared_worker_phase(
-        box_env, system, db, k, PoolRuntime.start(pool), record()
-    )
-    assert [r.worker_id for r in results] == list(range(8))
+    indices, verified = _measure_and_finalize(db, "optimal", PoolRuntime.start(pool).worker_rngs, record(), 8)
+    assert len(indices) == 8
 
     expected_points = []
     seen = set()
     dups = failures = 0
-    for r in results:
-        if not r.verified:
+    for idx, ok in zip(indices.tolist(), verified.tolist()):
+        if not ok:
             failures += 1
-        elif r.measured_index in seen:
+        elif idx in seen:
             dups += 1
         else:
-            seen.add(r.measured_index)
-            expected_points.append(r.point)
+            seen.add(idx)
+            expected_points.append(tuple(db.points[idx]))
     assert failures + dups + len(expected_points) == 8
     assert summary.duplicates_discarded == dups
     assert list(summary.admitted_indices) == sorted(summary.admitted_indices)
     if tree.goal_index is None:  # a goal snap would rewrite one admitted point
         assert [tuple(tree.node(i)) for i in summary.admitted_indices] == expected_points
+
+
+def _quantum_steps(system):
+    """One step of each quantum algorithm, as (name, step(env, tree, record))."""
+    rng = np.random.default_rng(8)
+    schedule = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    shared = PoolRuntime.start(WorkerPool(p=4, mode="shared", seed_base=9))
+    unshared = PoolRuntime.start(WorkerPool(p=4, mode="unshared", seed_base=10))
+    return [
+        ("qrrt", lambda env, tree, rec: qrrt_step(env, system, tree, 6, "optimal", rng, rec)),
+        ("qda", lambda env, tree, rec: qrrt_step(env, system, tree, 6, "optimal", rng, rec, schedule=schedule)),
+        ("pqrrt-shared", lambda env, tree, rec: pqrrt_manager_step(env, system, tree, 6, shared, "optimal", rng, rec)),
+        ("pqrrt-unshared", lambda env, tree, rec: pqrrt_unshared_step(env, system, tree, 6, unshared, "optimal", rec)),
+    ]
+
+
+@pytest.mark.parametrize("goal_delta", [None, 20.0], ids=["no-snap", "snap"])
+def test_quantum_finalizers_make_no_oracle_call(monkeypatch, box_env, system, goal_delta):
+    # Wrap every name the planners reach the oracle by outside tagging
+    # (tag_database calls its own imported reachable_batch, left unwrapped).
+    # A single-row reachable() runs through reachable_batch: count the outer call.
+    oracle_rows, depth = [], [0]
+
+    def spy(fn):
+        def wrapped(env, sys, parents, targets):
+            if depth[0] == 0:
+                rows = zip(np.reshape(parents, (-1, 2)).tolist(), np.reshape(targets, (-1, 2)).tolist())
+                oracle_rows.extend((tuple(a), tuple(b)) for a, b in rows)
+            depth[0] += 1
+            try:
+                return fn(env, sys, parents, targets)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "reachable_batch", spy(dynamics.reachable_batch))
+    for module in (planner, parallel):
+        monkeypatch.setattr(module, "reachable", spy(module.reachable))
+    # Measured rows: each measurement reads the database tagged last.
+    tagged, measured = [], []
+
+    def spy_tag(fn):
+        def wrapped(*args):
+            tagged.append(fn(*args))
+            return tagged[-1]
+
+        return wrapped
+
+    for module in (planner, parallel):
+        monkeypatch.setattr(module, "tag_database", spy_tag(module.tag_database))
+    original_measure = qsim.measure
+
+    def spy_measure(state, rng):
+        idx = original_measure(state, rng)
+        db = tagged[-1]
+        measured.append((tuple(db.parent_points[idx].tolist()), tuple(db.points[idx].tolist())))
+        return idx
+
+    monkeypatch.setattr(qsim, "measure", spy_measure)
+
+    env = box_env
+    if goal_delta is not None:  # every admitted candidate is within delta of the goal
+        env = Environment(bounds=env.bounds, obstacles=env.obstacles, x0=env.x0, xG=env.xG, delta=goal_delta)
+    goal = tuple(env.xG.tolist())
+    for name, step in _quantum_steps(system):
+        oracle_rows.clear()
+        measured.clear()
+        tree, rec = Tree(env.x0), record()
+        for _ in range(3):
+            step(env, tree, rec)
+        assert measured, name
+        assert not set(measured) & set(oracle_rows), name
+        snaps = sum(target == goal for _, target in oracle_rows)
+        assert len(oracle_rows) == snaps, name  # only goal snaps reach the oracle
+        assert rec.calls_finalizer == len(measured) + snaps, name
+        if goal_delta is not None:
+            assert snaps == 1 and tree.goal_index is not None, name
 
 
 def test_shared_step_charges_every_worker_for_amplification(free_env, system):

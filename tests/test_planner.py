@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrrt import planner
+from qrrt import cli, planner
 from qrrt.dynamics import default_system, reachable
 from qrrt.env import Environment, GeneratorSpec, generate_random_env
 from qrrt.planner import (
@@ -282,6 +282,31 @@ def test_tag_database_matches_direct_oracle(box_env, system, rng):
     np.testing.assert_array_equal(db.good_mask, expect)
     assert db.m == int(expect.sum())
     assert 0 < db.m <= 128
+
+
+@pytest.mark.parametrize("annealed", [False, True], ids=["uniform", "annealed"])
+@pytest.mark.parametrize("world", ["annealing-7", "slopes-1234"])
+def test_tag_verdict_is_the_single_row_oracle(world, annealed):
+    # The finalizers read good_mask instead of calling the oracle again. That
+    # is exact only if the tag's batched verdict for a row is the verdict of
+    # a single-row call on the same (parent, target) row.
+    params, seed = {
+        "annealing-7": (cli.ANNEALING_DEFAULTS, 7),
+        "slopes-1234": (cli.SLOPES_DEFAULTS, 1234),
+    }[world]
+    env = generate_random_env(cli._slope_env_spec(params), seed)
+    system = default_system()
+    rng = np.random.default_rng(seed)
+    tree = qrrt_plan(env, system, 6, "optimal", 6, rng).tree
+    if annealed:
+        schedule = TemperatureSchedule.from_config(cli.ANNEALING_DEFAULTS["schedule"])
+        db = build_database_annealed(env, tree, 10, schedule, rng)
+    else:
+        db = build_database(env, tree, 10, rng)
+    db = tag_database(env, system, db)
+    single = [reachable(env, system, db.parent_points[i], db.points[i]) for i in range(2**10)]
+    np.testing.assert_array_equal(db.good_mask, single)
+    assert 0 < db.m < 2**10
 
 
 def test_tag_database_can_yield_empty_mask(box_env, system):
