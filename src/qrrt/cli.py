@@ -142,20 +142,30 @@ def _write_lines(path, lines) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_env(args) -> int:
+def _env_spec(params: dict) -> envmod.GeneratorSpec:
+    """A world from gen-env flags or a bench recipe's parameters.
+
+    A corridor_width that is not None adds the corridor; x0 and xG, when
+    given, fix the endpoints.
+    """
     corridor = None
-    if args.corridor_width is not None:
-        corridor = envmod.CorridorSpec(width=args.corridor_width, thickness=args.corridor_thickness)
-    spec = envmod.GeneratorSpec(
-        bounds=tuple(args.bounds),
-        obstacle_count=args.obstacles,
-        size_range=tuple(args.size_range),
-        delta=args.delta,
+    if params.get("corridor_width") is not None:
+        corridor = envmod.CorridorSpec(width=params["corridor_width"], thickness=params["corridor_thickness"])
+    x0, xG = params.get("x0"), params.get("xG")
+    return envmod.GeneratorSpec(
+        bounds=tuple(params["bounds"]),
+        obstacle_count=params["obstacles"],
+        size_range=tuple(params["size_range"]),
+        delta=params["delta"],
         corridor=corridor,
-        x0=tuple(args.x0) if args.x0 is not None else None,
-        xG=tuple(args.xg) if args.xg is not None else None,
+        x0=None if x0 is None else tuple(x0),
+        xG=None if xG is None else tuple(xG),
     )
+
+
+def _cmd_gen_env(args) -> int:
     try:
+        spec = _env_spec({**vars(args), "xG": args.xg})
         environment = envmod.generate_random_env(spec, args.seed)
     except (ValueError, envmod.EnvGenerationError) as exc:
         raise ConfigError(f"environment generation failed: {exc}")
@@ -169,17 +179,16 @@ def _cmd_gen_env(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_pool(args, default_seed_base: int) -> parallel.WorkerPool:
-    mode = {"prrt": "classical", "pqrrt-shared": "shared", "pqrrt-unshared": "unshared"}[args.algo]
+def _build_pool(args) -> parallel.WorkerPool:
     seeds = _parse_seed_list(args.pool_seeds) if args.pool_seeds else None
     seed_base = args.pool_seed_base
-    if seeds is None and seed_base is None:
+    if seed_base is None:
         # Deterministic derivation from the required run seed, not invention.
-        seed_base = default_seed_base
+        seed_base = args.seed
     try:
         return parallel.WorkerPool(
             p=args.p,
-            mode=mode,
+            mode=metrics.ALGORITHM_TABLE[args.algo].pool_mode,
             seed_base=None if seeds is not None else seed_base,
             seeds=seeds,
             per_worker_budget=args.per_worker_budget,
@@ -191,12 +200,8 @@ def _build_pool(args, default_seed_base: int) -> parallel.WorkerPool:
 
 def _algo_config(args) -> metrics.AlgorithmConfig:
     mode = _parse_mode(args.iterations)
-    schedule = None
-    pool = None
-    if args.algo == "qda":
-        schedule = _parse_schedule(args.schedule)
-    if args.algo in ("prrt", "pqrrt-shared", "pqrrt-unshared"):
-        pool = _build_pool(args, default_seed_base=args.seed)
+    schedule = _parse_schedule(args.schedule) if args.algo == "qda" else None
+    pool = _build_pool(args) if metrics.ALGORITHM_TABLE[args.algo].pool_mode is not None else None
     try:
         return metrics.AlgorithmConfig(
             name=args.algo,
@@ -212,8 +217,10 @@ def _algo_config(args) -> metrics.AlgorithmConfig:
 
 def _dump_first_step_amplitudes(args, environment, system, algo: metrics.AlgorithmConfig) -> None:
     """Reproduce the run's first database (same seed, fresh stream), amplify it
-    and dump the amplitude table; the run itself is not perturbed."""
-    if args.algo not in ("qrrt", "qda", "pqrrt-shared"):
+    and dump the amplitude table; the run itself is not perturbed. Only runs
+    whose first database comes from the run's own stream have one to dump."""
+    spec = metrics.ALGORITHM_TABLE[args.algo]
+    if not spec.amplified or spec.pool_mode == "unshared":
         raise ConfigError(f"--dump-amplitudes is not available for algo {args.algo!r}")
     rng = np.random.default_rng(args.seed)
     tree = planner.Tree(environment.x0)
@@ -365,6 +372,10 @@ _MAX_SIGMA_TOLERANCE = 30.0
 # about 71 MiB, so larger values are refused rather than run toward gigabytes.
 _MAX_COVER_EPISODES = 1_000_000
 
+# A million trials take about 1.1 s over the whole grid (2-core x86-64 host),
+# so the cap keeps a run near 12 s; 10^12 trials would run for days.
+_MAX_TRIALS = 10_000_000
+
 
 def _family_z(sigma_tolerance: float, tests: int) -> float:
     """Per-test z bound that holds `tests` two-sided tests to one family-wise error rate.
@@ -383,6 +394,8 @@ def _family_z(sigma_tolerance: float, tests: int) -> float:
 def _cmd_analyze(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > _MAX_TRIALS:
+        raise ConfigError(f"--trials must be <= {_MAX_TRIALS}, got {args.trials}")
     if args.cover_episodes < 1:
         raise ConfigError(f"--cover-episodes must be >= 1, got {args.cover_episodes}")
     if args.cover_episodes > _MAX_COVER_EPISODES:
@@ -498,13 +511,25 @@ ANNEALING_DEFAULTS = dict(
 )
 
 
-def _slope_env_spec(params) -> envmod.GeneratorSpec:
-    return envmod.GeneratorSpec(
-        bounds=tuple(params["bounds"]),
-        obstacle_count=params["obstacles"],
-        size_range=tuple(params["size_range"]),
-        delta=params["delta"],
-    )
+def _bench_setup(out_dir, defaults: dict, overrides: dict) -> tuple[dict, dynamics.LinearSystem]:
+    """A recipe's parameters (its defaults, then the overrides) and the default
+    system, with the output directory created."""
+    os.makedirs(out_dir, exist_ok=True)
+    return {**defaults, **overrides}, dynamics.default_system()
+
+
+def _cutoff_runs(params, environment, system, seed_base: int) -> dict:
+    """Per planner, rrt then qrrt: params["trials"] runs under params["cutoff"]
+    counted calls, trial t seeded seed_base + 1000 + t."""
+    return {
+        name: [
+            metrics.cutoff_run(
+                metrics.AlgorithmConfig(name=name, n=params["n"]), environment, system, params["cutoff"], seed
+            )
+            for seed in range(seed_base + 1000, seed_base + 1000 + params["trials"])
+        ]
+        for name in ("rrt", "qrrt")
+    }
 
 
 def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
@@ -514,16 +539,8 @@ def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
     target; per-admission (nodes, running-call-total) points are pooled per
     algorithm and fitted with ordinary least squares.
     """
-    params = dict(SLOPES_DEFAULTS)
-    params.update(overrides)
-    os.makedirs(out_dir, exist_ok=True)
-    system = dynamics.default_system()
-    spec = _slope_env_spec(params)
-
-    def pool_for(name, run_seed):
-        mode = {"prrt": "classical", "pqrrt-shared": "shared"}[name]
-        return parallel.WorkerPool(p=params["p"], mode=mode, seed_base=run_seed)
-
+    params, system = _bench_setup(out_dir, SLOPES_DEFAULTS, overrides)
+    spec = _env_spec(params)
     algo_names = ("rrt", "qrrt", "pqrrt-shared", "prrt")
     points = {name: [] for name in algo_names}
     records = []
@@ -532,12 +549,9 @@ def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
         environment = envmod.generate_random_env(spec, seed_base + i)
         run_seed = seed_base + 10_000 + i
         for name in algo_names:
-            if name in ("prrt", "pqrrt-shared"):
-                algo = metrics.AlgorithmConfig(
-                    name=name, n=params["n"], pool=pool_for(name, run_seed), max_steps=params["max_steps"]
-                )
-            else:
-                algo = metrics.AlgorithmConfig(name=name, n=params["n"], max_steps=params["max_steps"])
+            mode = metrics.ALGORITHM_TABLE[name].pool_mode
+            pool = None if mode is None else parallel.WorkerPool(p=params["p"], mode=mode, seed_base=run_seed)
+            algo = metrics.AlgorithmConfig(name=name, n=params["n"], pool=pool, max_steps=params["max_steps"])
             result = metrics.run_trial(algo, environment, system, run_seed, target_nodes=params["target_nodes"])
             records.append(result.record)
             for j, calls in enumerate(result.record.calls_at_admission):
@@ -557,20 +571,12 @@ def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
 
 def bench_heatmap(out_dir, seed_base: int, **overrides) -> dict:
     """Node-placement heatmaps and oracle efficiency for rrt vs qrrt at a cutoff."""
-    params = dict(HEATMAP_DEFAULTS)
-    params.update(overrides)
-    os.makedirs(out_dir, exist_ok=True)
-    system = dynamics.default_system()
-    environment = envmod.generate_random_env(_slope_env_spec(params), seed_base)
+    params, system = _bench_setup(out_dir, HEATMAP_DEFAULTS, overrides)
+    environment = envmod.generate_random_env(_env_spec(params), seed_base)
     spec = metrics.HeatmapSpec(bounds=tuple(environment.bounds), nx=params["grid"], ny=params["grid"])
     summary_lines = ["algorithm,trials,nodes,calls_total,efficiency"]
     out = {"env": environment}
-    for name in ("rrt", "qrrt"):
-        algo = metrics.AlgorithmConfig(name=name, n=params["n"])
-        recs = [
-            metrics.cutoff_run(algo, environment, system, params["cutoff"], seed_base + 1000 + t)
-            for t in range(params["trials"])
-        ]
+    for name, recs in _cutoff_runs(params, environment, system, seed_base).items():
         heatmap = metrics.accumulate_heatmap(recs, spec)
         metrics.write_heatmap_csv(heatmap, os.path.join(out_dir, f"heatmap_{name}.csv"))
         metrics.write_heatmap_pgm(heatmap, os.path.join(out_dir, f"heatmap_{name}.pgm"))
@@ -585,31 +591,13 @@ def bench_heatmap(out_dir, seed_base: int, **overrides) -> dict:
 
 def bench_corridor(out_dir, seed_base: int, **overrides) -> dict:
     """Corridor-entry node counts for rrt vs qrrt under a tight call cutoff."""
-    params = dict(CORRIDOR_DEFAULTS)
-    params.update(overrides)
-    os.makedirs(out_dir, exist_ok=True)
-    system = dynamics.default_system()
-    spec = envmod.GeneratorSpec(
-        bounds=tuple(params["bounds"]),
-        obstacle_count=params["obstacles"],
-        size_range=tuple(params["size_range"]),
-        delta=params["delta"],
-        corridor=envmod.CorridorSpec(
-            width=params["corridor_width"], thickness=params["corridor_thickness"]
-        ),
-        x0=tuple(params["x0"]) if params.get("x0") is not None else None,
-        xG=tuple(params["xG"]) if params.get("xG") is not None else None,
-    )
+    params, system = _bench_setup(out_dir, CORRIDOR_DEFAULTS, overrides)
+    spec = _env_spec(params)
     environment = envmod.generate_random_env(spec, seed_base)
     region = envmod.corridor_region(spec)
     lines = ["algorithm,trials,corridor_nodes,total_nodes"]
     out = {"env": environment, "region": region}
-    for name in ("rrt", "qrrt"):
-        algo = metrics.AlgorithmConfig(name=name, n=params["n"])
-        recs = [
-            metrics.cutoff_run(algo, environment, system, params["cutoff"], seed_base + 1000 + t)
-            for t in range(params["trials"])
-        ]
+    for name, recs in _cutoff_runs(params, environment, system, seed_base).items():
         corridor_nodes = metrics.count_in_region(recs, region)
         total_nodes = sum(r.nodes_admitted for r in recs)
         lines.append(f"{name},{len(recs)},{corridor_nodes},{total_nodes}")
@@ -625,11 +613,8 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
     targets; the annealed variant draws its targets from the temperature
     schedule's radius band.
     """
-    params = dict(ANNEALING_DEFAULTS)
-    params.update(overrides)
-    os.makedirs(out_dir, exist_ok=True)
-    system = dynamics.default_system()
-    environment = envmod.generate_random_env(_slope_env_spec(params), seed_base)
+    params, system = _bench_setup(out_dir, ANNEALING_DEFAULTS, overrides)
+    environment = envmod.generate_random_env(_env_spec(params), seed_base)
     lines = ["algorithm,seed,nodes,mean_edge,min_edge,max_edge"]
     out = {"env": environment, "qda": [], "qrrt": []}
     for t in range(params["trees"]):
@@ -665,10 +650,13 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
     return out
 
 
+# The integer overrides `qrrt bench` takes, each as a --flag.
+_BENCH_OVERRIDES = ("trials", "cutoff", "envs", "target_nodes", "trees", "n")
+
+
 def _cmd_bench(args) -> int:
     recipe = args.recipe
-    keys = ("trials", "cutoff", "envs", "target_nodes", "trees", "n")
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    overrides = {key: getattr(args, key) for key in _BENCH_OVERRIDES if getattr(args, key) is not None}
     try:
         metrics.check_bench_overrides(recipe, overrides)
     except ValueError as exc:
@@ -688,13 +676,11 @@ def _cmd_bench(args) -> int:
         result = bench_corridor(args.out, args.seed_base, **overrides)
         for name in ("rrt", "qrrt"):
             print(f"{name}: {result[name]['corridor_nodes']} corridor nodes of {result[name]['total_nodes']}")
-    elif recipe == "annealing":
+    else:
         result = bench_annealing(args.out, args.seed_base, **overrides)
         for name in ("qda", "qrrt"):
             means = [run["mean_edge"] for run in result[name]]
             print(f"{name}: mean edge lengths {[round(v, 3) for v in means]}")
-    else:
-        raise ConfigError(f"unknown bench recipe {recipe!r}")
     return 0
 
 
@@ -743,7 +729,7 @@ def _build_parser() -> _Parser:
     a = sub.add_parser("analyze", help="closed forms vs Monte Carlo over the standard grid")
     a.add_argument("--seed", type=int, required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--trials", type=int, default=200_000)
+    a.add_argument("--trials", type=int, default=200_000, help=f"Monte Carlo trials per row, at most {_MAX_TRIALS:,}")
     a.add_argument(
         "--cover-episodes", type=int, default=20_000, help=f"coverage episodes per row, at most {_MAX_COVER_EPISODES:,}"
     )
@@ -761,12 +747,8 @@ def _build_parser() -> _Parser:
     b.add_argument("recipe", choices=("slopes", "heatmap", "corridor", "annealing"))
     b.add_argument("--seed-base", type=int, required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--trials", type=int, default=None)
-    b.add_argument("--cutoff", type=int, default=None)
-    b.add_argument("--envs", type=int, default=None)
-    b.add_argument("--target-nodes", type=int, default=None)
-    b.add_argument("--trees", type=int, default=None)
-    b.add_argument("--n", type=int, default=None)
+    for key in _BENCH_OVERRIDES:
+        b.add_argument("--" + key.replace("_", "-"), type=int, default=None)
     b.set_defaults(func=_cmd_bench)
 
     return parser

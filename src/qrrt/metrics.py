@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,24 @@ __all__ = [
     "write_heatmap_pgm",
 ]
 
-ALGORITHMS = ("rrt", "qrrt", "qda", "prrt", "pqrrt-shared", "pqrrt-unshared")
-AMPLIFIED = ("qrrt", "qda", "pqrrt-shared", "pqrrt-unshared")
+class Algorithm(NamedTuple):
+    """One row of the algorithm table."""
+
+    planner: str  # "rrt" (rrt_plan), "qrrt" (qrrt_plan) or "pool" (parallel.run_parallel_plan)
+    pool_mode: str | None  # the WorkerPool mode a pooled variant runs
+    amplified: bool  # builds 2^n databases, so n is bounded
+
+
+# The one table of algorithm facts; every caller reads it.
+ALGORITHM_TABLE = {
+    "rrt": Algorithm("rrt", None, False),
+    "qrrt": Algorithm("qrrt", None, True),
+    "qda": Algorithm("qrrt", None, True),
+    "prrt": Algorithm("pool", "classical", False),
+    "pqrrt-shared": Algorithm("pool", "shared", True),
+    "pqrrt-unshared": Algorithm("pool", "unshared", True),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -49,7 +66,7 @@ class AlgorithmConfig:
     """Everything needed to run one planner variant on an environment.
 
     mode is "optimal" or a fixed iteration count; schedule is required for
-    qda; pool is required for the pooled variants.
+    qda; pool is required for the pooled variants, in the table's mode.
     """
 
     name: str
@@ -60,25 +77,18 @@ class AlgorithmConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.name not in ALGORITHMS:
+        if self.name not in ALGORITHM_TABLE:
             raise ValueError(f"unknown algorithm {self.name!r}, expected one of {ALGORITHMS}")
-        if self.name in AMPLIFIED and not (1 <= self.n <= qsim.MAX_DATABASE_QUBITS):
-            raise ValueError(
-                f"{self.name} needs a database exponent in [1, {qsim.MAX_DATABASE_QUBITS}], got {self.n}"
-            )
+        spec = ALGORITHM_TABLE[self.name]
+        if spec.amplified:
+            qsim._check_n(self.n)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.name == "qda" and self.schedule is None:
             raise ValueError("qda needs a temperature schedule")
-        if self.name in ("prrt", "pqrrt-shared", "pqrrt-unshared") and self.pool is None:
-            raise ValueError(f"{self.name} needs a worker pool")
-        expected_mode = {"prrt": "classical", "pqrrt-shared": "shared", "pqrrt-unshared": "unshared"}
-        if self.pool is not None and self.name in expected_mode:
-            if self.pool.mode != expected_mode[self.name]:
-                raise ValueError(
-                    f"{self.name} needs a pool in mode {expected_mode[self.name]!r}, "
-                    f"got {self.pool.mode!r}"
-                )
+        if spec.pool_mode is not None and (self.pool is None or self.pool.mode != spec.pool_mode):
+            got = "none" if self.pool is None else repr(self.pool.mode)
+            raise ValueError(f"{self.name} needs a worker pool in mode {spec.pool_mode!r}, got {got}")
 
 
 # The overrides each `qrrt bench` recipe reads, with the smallest value it can run.
@@ -93,14 +103,14 @@ _BENCH_OVERRIDE_MINIMA = {
 def check_bench_overrides(recipe: str, overrides: dict) -> None:
     """Reject ``qrrt bench`` overrides the recipe does not read or cannot run, before it starts.
 
-    n takes AlgorithmConfig's bound, since every recipe runs an amplified
-    planner.
+    n takes the bound on the database exponent, since every recipe runs an
+    amplified planner.
     """
     minima = _BENCH_OVERRIDE_MINIMA[recipe]
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
         if key == "n":
-            AlgorithmConfig(name="qrrt", n=value)
+            qsim._check_n(value)
         elif key not in minima:
             raise ValueError(f"{flag} does not apply to bench {recipe}")
         elif value < minima[key]:
@@ -117,30 +127,26 @@ def run_trial(
     target_nodes: int | None = None,
 ) -> _planner.PlanResult:
     """One seeded planning trial of the configured algorithm."""
+    planner = ALGORITHM_TABLE[algo.name].planner
+    if planner == "pool":
+        return _parallel.run_parallel_plan(env, sys, algo, seed, target_nodes=target_nodes, cutoff=cutoff)
     rng = np.random.default_rng(seed)
-    if algo.name == "rrt":
+    if planner == "rrt":
         return _planner.rrt_plan(
             env, sys, algo.max_steps, rng, target_nodes=target_nodes, cutoff=cutoff, seed=seed
         )
-    if algo.name in ("qrrt", "qda"):
-        return _planner.qrrt_plan(
-            env,
-            sys,
-            algo.n,
-            algo.mode,
-            algo.max_steps,
-            rng,
-            schedule=algo.schedule,
-            target_nodes=target_nodes,
-            cutoff=cutoff,
-            algorithm=algo.name,
-            seed=seed,
-        )
-    config = _parallel.ParallelPlanConfig(
-        pool=algo.pool, n=algo.n, mode=algo.mode, max_steps=algo.max_steps
-    )
-    return _parallel.run_parallel_plan(
-        env, sys, config, seed, target_nodes=target_nodes, cutoff=cutoff
+    return _planner.qrrt_plan(
+        env,
+        sys,
+        algo.n,
+        algo.mode,
+        algo.max_steps,
+        rng,
+        schedule=algo.schedule,
+        target_nodes=target_nodes,
+        cutoff=cutoff,
+        algorithm=algo.name,
+        seed=seed,
     )
 
 

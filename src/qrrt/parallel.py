@@ -5,8 +5,10 @@ the pool runs them serially in worker-id order with per-worker RNG streams;
 the observable behavior is identical to a concurrent pool because nothing a
 worker reads is mutated until every worker has reported. In the quantum
 modes every worker runs ``planner._measure_and_finalize``: its measured row
-is charged one finalizer call and reads the tag's verdict. The manager then
-admits candidates in worker-id order, discarding repeats.
+is charged one finalizer call and reads the tag's verdict; in the classical
+mode every worker runs ``planner._classical_attempts``. The manager then
+admits candidates in worker-id order, discarding repeats. run_parallel_plan
+drives one pool step per round through the planner's plan engine.
 
 Pool modes:
 
@@ -23,27 +25,30 @@ Pool modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import LinearSystem, reachable
-from .env import Environment, sample_uniform_batch
+from .dynamics import LinearSystem
+from .env import Environment
 from .planner import (
     PlanResult,
     Tree,
     _admit_candidate,
+    _classical_attempts,
     _measure_and_finalize,
-    _stop,
+    _plan,
     build_database,
-    extract_path,
     tag_database,
 )
-from .records import ADDED, StepSummary, StopWatch, TrialRecord
+from .records import ADDED, StepSummary, TrialRecord
+
+if TYPE_CHECKING:
+    from .metrics import AlgorithmConfig
 
 __all__ = [
     "WorkerPool",
     "PoolRuntime",
-    "ParallelPlanConfig",
     "worker_seed_sequences",
     "pqrrt_manager_step",
     "pqrrt_unshared_step",
@@ -53,14 +58,18 @@ __all__ = [
 
 POOL_MODES = ("shared", "unshared", "classical")
 
+# Widest pool accepted: 128x the shipped width (8). A pool holds one seed
+# sequence and one generator per worker, built before the first step.
+MAX_POOL_WIDTH = 1024
+
 
 @dataclass(frozen=True)
 class WorkerPool:
     """Pool configuration: width, mode, seeding and accounting flags.
 
-    Exactly one of seeds (explicit, distinct, one per worker) or seed_base
-    (deterministic per-worker derivation) must be given; seeds are never
-    invented.
+    p is at most MAX_POOL_WIDTH. Exactly one of seeds (explicit, distinct,
+    one per worker) or seed_base (deterministic per-worker derivation) must
+    be given; seeds are never invented.
     """
 
     p: int
@@ -71,8 +80,8 @@ class WorkerPool:
     shared_amplification: bool = False
 
     def __post_init__(self):
-        if not (self.p >= 1):
-            raise ValueError(f"pool width p must be >= 1, got {self.p}")
+        if not (1 <= self.p <= MAX_POOL_WIDTH):
+            raise ValueError(f"pool width p must be in [1, {MAX_POOL_WIDTH}], got {self.p}")
         if self.mode not in POOL_MODES:
             raise ValueError(f"pool mode must be one of {POOL_MODES}, got {self.mode!r}")
         if (self.seeds is None) == (self.seed_base is None):
@@ -86,22 +95,6 @@ class WorkerPool:
             object.__setattr__(self, "seeds", seeds)
         if not (self.per_worker_budget >= 1):
             raise ValueError(f"per_worker_budget must be >= 1, got {self.per_worker_budget}")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "WorkerPool":
-        try:
-            p = cfg["p"]
-            mode = cfg["mode"]
-        except KeyError as exc:
-            raise ValueError(f"pool config is missing key {exc}") from exc
-        return cls(
-            p=int(p),
-            mode=mode,
-            seed_base=cfg.get("seed_base"),
-            seeds=tuple(cfg["seeds"]) if "seeds" in cfg else None,
-            per_worker_budget=int(cfg.get("per_worker_budget", 64)),
-            shared_amplification=bool(cfg.get("shared_amplification", False)),
-        )
 
 
 def worker_seed_sequences(pool: WorkerPool) -> list[np.random.SeedSequence]:
@@ -128,22 +121,21 @@ class PoolRuntime:
         )
 
 
-def _summary(record: TrialRecord, admitted: list[int], dups_before: int, calls_before: int) -> StepSummary:
-    return StepSummary(
-        admitted_indices=tuple(admitted),
-        duplicates_discarded=record.duplicates_discarded - dups_before,
-        oracle_calls=record.total_calls() - calls_before,
-    )
+def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, record, before) -> StepSummary:
+    """Admit (point, parent index) candidates in worker order; the round's summary.
 
-
-def _admit_in_order(env: Environment, sys: LinearSystem, tree: Tree, candidates, record: TrialRecord) -> list[int]:
-    """Admit (point, parent index) candidates in worker order; the admitted node indices."""
+    before is (duplicates discarded, total calls) as the round started.
+    """
     admitted = []
     for point, parent_index in candidates:
         step = _admit_candidate(env, sys, tree, point, parent_index, record)
         if step.outcome == ADDED:
             admitted.append(step.node_index)
-    return admitted
+    return StepSummary(
+        admitted_indices=tuple(admitted),
+        duplicates_discarded=record.duplicates_discarded - before[0],
+        oracle_calls=record.total_calls() - before[1],
+    )
 
 
 def pqrrt_manager_step(
@@ -160,8 +152,7 @@ def pqrrt_manager_step(
     if runtime.pool.mode != "shared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a shared step")
     pool = runtime.pool
-    dups_before = record.duplicates_discarded
-    calls_before = record.total_calls()
+    before = (record.duplicates_discarded, record.total_calls())
     db = tag_database(env, sys, build_database(env, tree, n, rng))
     charged = 1 if pool.shared_amplification else pool.p
     indices, verified = _measure_and_finalize(db, mode, runtime.worker_rngs, record, charged)
@@ -175,8 +166,7 @@ def pqrrt_manager_step(
             continue
         seen_indices.add(idx)
         candidates.append((db.points[idx], int(db.parent_index[idx])))
-    admitted = _admit_in_order(env, sys, tree, candidates, record)
-    return _summary(record, admitted, dups_before, calls_before)
+    return _admit_round(env, sys, tree, candidates, record, before)
 
 
 def pqrrt_unshared_step(
@@ -195,8 +185,7 @@ def pqrrt_unshared_step(
     """
     if runtime.pool.mode != "unshared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run an unshared step")
-    dups_before = record.duplicates_discarded
-    calls_before = record.total_calls()
+    before = (record.duplicates_discarded, record.total_calls())
     # A worker keeps only its verified measured row, not its database.
     candidates = []
     for wrng in runtime.worker_rngs:
@@ -204,8 +193,7 @@ def pqrrt_unshared_step(
         (idx,), (good,) = _measure_and_finalize(db, mode, [wrng], record)
         if good:
             candidates.append((db.points[idx].copy(), int(db.parent_index[idx])))
-    admitted = _admit_in_order(env, sys, tree, candidates, record)
-    return _summary(record, admitted, dups_before, calls_before)
+    return _admit_round(env, sys, tree, candidates, record, before)
 
 
 def prrt_manager_step(
@@ -215,74 +203,44 @@ def prrt_manager_step(
     runtime: PoolRuntime,
     record: TrialRecord,
 ) -> StepSummary:
-    """Classical pooled round: each worker retries until success or budget."""
+    """Classical pooled round: each worker runs the classical attempt kernel
+    with the pool's per_worker_budget against the same tree snapshot."""
     if runtime.pool.mode != "classical":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a classical step")
     pool = runtime.pool
-    dups_before = record.duplicates_discarded
-    calls_before = record.total_calls()
-    candidates = []
-    for wrng in runtime.worker_rngs:
-        for _ in range(pool.per_worker_budget):
-            # Budget counts oracle calls; a coincident sample is redrawn free.
-            for _ in range(64):
-                point = sample_uniform_batch(env, wrng, 1)[0]
-                if not tree.has_point(point):
-                    break
-            else:
-                raise RuntimeError("could not draw a sample clear of existing nodes")
-            parent_index = tree.nearest(point)
-            record.calls_classical += 1
-            if reachable(env, sys, tree.coords[parent_index], point):
-                candidates.append((point, parent_index))
-                break
-    admitted = _admit_in_order(env, sys, tree, candidates, record)
-    return _summary(record, admitted, dups_before, calls_before)
-
-
-@dataclass(frozen=True)
-class ParallelPlanConfig:
-    """A pooled planning run: pool, database exponent, iteration mode, budget."""
-
-    pool: WorkerPool
-    n: int = 8
-    mode: object = "optimal"  # "optimal" or a fixed iteration count
-    max_steps: int = 10_000
+    before = (record.duplicates_discarded, record.total_calls())
+    attempts = [
+        _classical_attempts(env, sys, tree, wrng, pool.per_worker_budget, record) for wrng in runtime.worker_rngs
+    ]
+    return _admit_round(env, sys, tree, [found for found in attempts if found is not None], record, before)
 
 
 def run_parallel_plan(
     env: Environment,
     sys: LinearSystem,
-    config: ParallelPlanConfig,
+    config: AlgorithmConfig,
     seed: int,
     *,
     target_nodes: int | None = None,
     cutoff: int | None = None,
 ) -> PlanResult:
-    """Manager loop for whichever pool mode the config carries.
+    """The plan engine stepping a pooled algorithm's pool, whichever mode it has.
 
+    config names prrt, pqrrt-shared or pqrrt-unshared and carries its pool.
     seed drives the manager's own stream (database builds in shared mode);
-    worker streams come from the pool's seed configuration.
+    worker streams come from the pool's seed configuration. Each round looks
+    its pool step up by module name, so a wrapper installed there sees it.
     """
-    if config.max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {config.max_steps}")
     pool = config.pool
-    label = {"shared": "pqrrt-shared", "unshared": "pqrrt-unshared", "classical": "prrt"}[pool.mode]
-    record = TrialRecord(algorithm=label, seed=seed)
-    tree = Tree(env.x0)
     runtime = PoolRuntime.start(pool)
     rng = np.random.default_rng(seed)
-    with StopWatch(record):
-        if np.array_equal(env.x0, env.xG):
-            tree.goal_index = 0
-        steps = 0
-        while not _stop(record, tree, steps, config.max_steps, target_nodes, cutoff):
-            if pool.mode == "shared":
-                pqrrt_manager_step(env, sys, tree, config.n, runtime, config.mode, rng, record)
-            elif pool.mode == "unshared":
-                pqrrt_unshared_step(env, sys, tree, config.n, runtime, config.mode, record)
-            else:
-                prrt_manager_step(env, sys, tree, runtime, record)
-            steps += 1
-    path = extract_path(tree) if tree.goal_index is not None else []
-    return PlanResult(path=path, record=record, tree=tree)
+
+    def step(tree, record):
+        if pool.mode == "shared":
+            pqrrt_manager_step(env, sys, tree, config.n, runtime, config.mode, rng, record)
+        elif pool.mode == "unshared":
+            pqrrt_unshared_step(env, sys, tree, config.n, runtime, config.mode, record)
+        else:
+            prrt_manager_step(env, sys, tree, runtime, record)
+
+    return _plan(env, config.name, seed, config.max_steps, step, target_nodes, cutoff)

@@ -4,7 +4,16 @@ One q-RRT step builds a database of 2^n (target, nearest-parent) pairs,
 tags each pair with the reachability oracle, amplifies the tagged subset,
 measures one index, which is charged one finalizer call and reads the tag's
 verdict, and admits the surviving node. Classical RRT is the one-sample
-special case: draw, connect to the nearest node, verify, admit.
+special case: _classical_attempts (draw, connect to the nearest node,
+verify, one classical call an attempt) is the one classical kernel, run
+with budget 1 by rrt_step and with per_worker_budget by each prrt worker.
+
+Every planner, pooled ones included, runs in one plan engine, _plan: it
+owns the record, the tree and the wall clock, captures the goal at the root
+when x0 = xG, and calls the algorithm's step function until the goal is
+captured or a budget (steps, nodes, cutoff calls) runs out. qrrt_plan steps
+with qrrt_step, rrt_plan with rrt_step, parallel.run_parallel_plan with a
+pool step; metrics.ALGORITHM_TABLE says which algorithm takes which.
 
 A measurement returns a bad row with probability 1 - pG, so the paper
 charges a classical finalizer call per measured row. The oracle is a
@@ -39,6 +48,7 @@ Admission rules shared by every planner in the package:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +56,7 @@ import numpy as np
 from . import qsim
 from .dynamics import LinearSystem, reachable, reachable_batch
 from .env import Environment, sample_uniform_batch
-from .records import ADDED, DUPLICATE, FAILED, StepResult, StopWatch, TrialRecord
+from .records import ADDED, DUPLICATE, FAILED, StepResult, TrialRecord
 
 __all__ = [
     "Tree",
@@ -65,8 +75,6 @@ __all__ = [
     "extract_path",
     "extract_path_indices",
 ]
-
-MAX_DATABASE_EXPONENT = qsim.MAX_DATABASE_QUBITS
 
 # Query rows x tree nodes per block of Tree.nearest_batch: 16 bytes of
 # temporaries a pair, so about 2 MiB a block.
@@ -170,20 +178,13 @@ class Database:
     m: int | None = None
 
 
-def _check_exponent(n: int) -> int:
-    n = int(n)
-    if not (0 <= n <= MAX_DATABASE_EXPONENT):
-        raise ValueError(f"database exponent must be in [0, {MAX_DATABASE_EXPONENT}], got {n}")
-    return n
-
-
 def build_database(env: Environment, tree: Tree, n: int, rng: np.random.Generator) -> Database:
     """Uniform targets paired with their nearest tree nodes.
 
     A sample landing exactly on an existing node would create a zero-length
     edge, so such rows are redrawn.
     """
-    n = _check_exponent(n)
+    n = qsim._check_n(n)
     size = 2**n
     pts = sample_uniform_batch(env, rng, size)
     for _ in range(64):
@@ -217,7 +218,7 @@ def build_database_annealed(
     (whose direction is undefined). Constrained targets are allowed to leave
     free space; tagging marks them bad.
     """
-    n = _check_exponent(n)
+    n = qsim._check_n(n)
     size = 2**n
     raw = sample_uniform_batch(env, rng, size)
     pidx = tree.nearest_batch(raw)
@@ -331,16 +332,6 @@ def _admit_candidate(
     return StepResult(ADDED, idx)
 
 
-def _finalize(db: Database, indices: np.ndarray, record: TrialRecord) -> np.ndarray:
-    """Finalizer verdicts for measured rows of a tagged database.
-
-    Each row is charged one finalizer call, and its verdict is the tag's:
-    tag_database ran the same deterministic oracle on the same row.
-    """
-    record.calls_finalizer += len(indices)
-    return db.good_mask[indices]
-
-
 def _measure_and_finalize(
     db: Database,
     mode,
@@ -354,7 +345,9 @@ def _measure_and_finalize(
     order (qsim.measure keeps the Born-rule CDF on the state, so it is built
     once too). charged_workers workers pay the amplification calls: 1 for a
     single planner or shared accounting, p for a pool charging every worker.
-    Returns the measured indices and their finalizer verdicts.
+    Returns the measured indices and their finalizer verdicts. Each measured
+    row is charged one finalizer call, and its verdict is the tag's:
+    tag_database ran the same deterministic oracle on the same row.
     """
     if db.m is None:
         raise ValueError("database must be tagged before amplification")
@@ -363,7 +356,8 @@ def _measure_and_finalize(
     state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
     record.calls_amplification += k * charged_workers
     indices = np.array([qsim.measure(state, rng) for rng in rngs], dtype=np.intp)
-    return indices, _finalize(db, indices, record)
+    record.calls_finalizer += len(indices)
+    return indices, db.good_mask[indices]
 
 
 def _qaa_admit_step(
@@ -393,14 +387,42 @@ def qrrt_step(
     schedule: TemperatureSchedule | None = None,
 ) -> StepResult:
     """One amplified planning step; with a schedule, targets are ring-constrained."""
-    if n < 1:
-        raise ValueError(f"amplified steps need n >= 1, got {n}")
     if schedule is None:
         db = build_database(env, tree, n, rng)
     else:
         db = build_database_annealed(env, tree, n, schedule, rng)
     db = tag_database(env, sys, db)
     return _qaa_admit_step(env, sys, tree, db, mode, rng, record)
+
+
+def _classical_attempts(
+    env: Environment,
+    sys: LinearSystem,
+    tree: Tree,
+    rng: np.random.Generator,
+    budget: int,
+    record: TrialRecord,
+) -> tuple[np.ndarray, int] | None:
+    """The classical attempt kernel of rrt (budget 1) and of each prrt worker.
+
+    Each attempt draws a sample, takes its nearest tree node and is charged
+    one classical oracle call. Returns the first verified (point, parent
+    index), or None once budget attempts have failed. A sample that
+    coincides with a tree node would make a zero-length edge, so it is
+    redrawn at no charge.
+    """
+    for _ in range(budget):
+        for _ in range(64):
+            point = sample_uniform_batch(env, rng, 1)[0]
+            if not tree.has_point(point):
+                break
+        else:
+            raise RuntimeError("could not draw a sample clear of existing nodes")
+        parent_index = tree.nearest(point)
+        record.calls_classical += 1
+        if reachable(env, sys, tree.coords[parent_index], point):
+            return point, parent_index
+    return None
 
 
 def rrt_step(
@@ -410,18 +432,11 @@ def rrt_step(
     rng: np.random.Generator,
     record: TrialRecord,
 ) -> StepResult:
-    """Classical step: one sample, nearest parent, one oracle call."""
-    for _ in range(64):
-        point = sample_uniform_batch(env, rng, 1)[0]
-        if not tree.has_point(point):
-            break
-    else:
-        raise RuntimeError("could not draw a sample clear of existing nodes")
-    parent_index = tree.nearest(point)
-    record.calls_classical += 1
-    if not reachable(env, sys, tree.coords[parent_index], point):
+    """Classical step: one attempt (sample, nearest parent, one oracle call), then admission."""
+    found = _classical_attempts(env, sys, tree, rng, 1, record)
+    if found is None:
         return StepResult(FAILED)
-    return _admit_candidate(env, sys, tree, point, parent_index, record)
+    return _admit_candidate(env, sys, tree, *found, record)
 
 
 @dataclass
@@ -437,14 +452,32 @@ class PlanResult:
         return bool(self.path)
 
 
-def _stop(record: TrialRecord, tree: Tree, steps, max_steps, target_nodes, cutoff) -> bool:
-    if tree.goal_index is not None or steps >= max_steps:
-        return True
-    if target_nodes is not None and record.nodes_admitted >= target_nodes:
-        return True
-    if cutoff is not None and record.cutoff_calls() >= cutoff:
-        return True
-    return False
+def _plan(env: Environment, algorithm: str, seed: int, max_steps: int, step, target_nodes, cutoff) -> PlanResult:
+    """The plan engine of every planner: step(tree, record) until a stop.
+
+    It owns the record, the tree and the wall clock, captures the goal at
+    the root when x0 = xG, and steps until the goal is captured or a budget
+    runs out: max_steps steps, target_nodes admitted nodes, or cutoff
+    cutoff-counted calls. The path is empty unless the goal was captured.
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    record = TrialRecord(algorithm=algorithm, seed=seed)
+    tree = Tree(env.x0)
+    start = time.perf_counter()
+    if np.array_equal(env.x0, env.xG):
+        tree.goal_index = 0
+    steps = 0
+    while tree.goal_index is None and steps < max_steps:
+        if target_nodes is not None and record.nodes_admitted >= target_nodes:
+            break
+        if cutoff is not None and record.cutoff_calls() >= cutoff:
+            break
+        step(tree, record)
+        steps += 1
+    record.wall_time_s = time.perf_counter() - start
+    path = extract_path(tree) if tree.goal_index is not None else []
+    return PlanResult(path=path, record=record, tree=tree)
 
 
 def qrrt_plan(
@@ -462,23 +495,16 @@ def qrrt_plan(
     seed: int = -1,
 ) -> PlanResult:
     """Amplified steps until goal capture or a budget (steps, nodes, calls) runs out."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    label = algorithm or ("qda" if schedule is not None else "qrrt")
-    record = TrialRecord(algorithm=label, seed=seed)
-    tree = Tree(env.x0)
     sched = schedule
-    with StopWatch(record):
-        if np.array_equal(env.x0, env.xG):
-            tree.goal_index = 0
-        steps = 0
-        while not _stop(record, tree, steps, max_steps, target_nodes, cutoff):
-            result = qrrt_step(env, sys, tree, n, mode, rng, record, schedule=sched)
-            if sched is not None and result.outcome == ADDED:
-                sched = advance_temperature(sched)
-            steps += 1
-    path = extract_path(tree) if tree.goal_index is not None else []
-    return PlanResult(path=path, record=record, tree=tree)
+
+    def step(tree, record):
+        nonlocal sched
+        result = qrrt_step(env, sys, tree, n, mode, rng, record, schedule=sched)
+        if sched is not None and result.outcome == ADDED:
+            sched = advance_temperature(sched)
+
+    label = algorithm or ("qda" if schedule is not None else "qrrt")
+    return _plan(env, label, seed, max_steps, step, target_nodes, cutoff)
 
 
 def rrt_plan(
@@ -491,20 +517,12 @@ def rrt_plan(
     cutoff: int | None = None,
     seed: int = -1,
 ) -> PlanResult:
-    """Classical RRT loop with the same stop conditions as qrrt_plan."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    record = TrialRecord(algorithm="rrt", seed=seed)
-    tree = Tree(env.x0)
-    with StopWatch(record):
-        if np.array_equal(env.x0, env.xG):
-            tree.goal_index = 0
-        steps = 0
-        while not _stop(record, tree, steps, max_steps, target_nodes, cutoff):
-            rrt_step(env, sys, tree, rng, record)
-            steps += 1
-    path = extract_path(tree) if tree.goal_index is not None else []
-    return PlanResult(path=path, record=record, tree=tree)
+    """Classical RRT steps under the same stops as qrrt_plan."""
+
+    def step(tree, record):
+        rrt_step(env, sys, tree, rng, record)
+
+    return _plan(env, "rrt", seed, max_steps, step, target_nodes, cutoff)
 
 
 def extract_path_indices(tree: Tree) -> list[int]:

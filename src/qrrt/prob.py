@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import MAX_DATABASE_QUBITS
+from .qsim import _check_counts, _check_n
 
 __all__ = [
     "ParallelSearchModel",
@@ -86,10 +86,7 @@ class ParallelSearchModel:
     pG: float
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_DATABASE_QUBITS):
-            raise ValueError(f"n must be in [1, {MAX_DATABASE_QUBITS}], got {self.n}")
-        if not (0 <= self.m <= 2**self.n):
-            raise ValueError(f"m must be in [0, 2^{self.n}], got {self.m}")
+        _check_counts(self.n, self.m)
         if not (self.p >= 1):
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not (0.0 <= self.pG <= 1.0):
@@ -106,8 +103,7 @@ class NoisyOracleModel:
     m2: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_DATABASE_QUBITS):
-            raise ValueError(f"n must be in [1, {MAX_DATABASE_QUBITS}], got {self.n}")
+        _check_n(self.n)
         if not (0 < self.m < 2**self.n):
             raise ValueError(f"m must satisfy 0 < m < 2^{self.n}, got {self.m}")
         if not (0 <= self.m1 <= self.m):

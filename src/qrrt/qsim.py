@@ -52,7 +52,6 @@ import numpy as np
 __all__ = [
     "MAX_DATABASE_QUBITS",
     "AmplifiedState",
-    "TwoLevelState",
     "init_uniform",
     "grover_iterate",
     "amplify",
@@ -68,9 +67,10 @@ MAX_DATABASE_QUBITS = 20
 
 
 def _check_n(n: int) -> int:
+    """The package's one bound on the database exponent n, for every caller."""
     n = int(n)
     if not (1 <= n <= MAX_DATABASE_QUBITS):
-        raise ValueError(f"database exponent n must be in [1, {MAX_DATABASE_QUBITS}], got {n}")
+        raise ValueError(f"n must be a database exponent in [1, {MAX_DATABASE_QUBITS}], got {n}")
     return n
 
 
@@ -101,22 +101,6 @@ class AmplifiedState:
     @property
     def m(self) -> int:
         return int(self.good_mask.sum())
-
-
-@dataclass(frozen=True)
-class TwoLevelState:
-    """Closed-form view of an amplified state: only (n, m, k) matter."""
-
-    n: int
-    m: int
-    k: int = 0
-
-    @property
-    def theta(self) -> float:
-        return math.asin(math.sqrt(self.m / 2**self.n))
-
-    def good_probability(self) -> float:
-        return good_probability(self.n, self.m, self.k)
 
 
 def init_uniform(n: int, good_mask) -> AmplifiedState:

@@ -14,14 +14,12 @@ count all three.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 __all__ = [
     "TrialRecord",
     "StepResult",
     "StepSummary",
-    "StopWatch",
     "ADDED",
     "DUPLICATE",
     "FAILED",
@@ -77,18 +75,3 @@ class StepSummary:
     admitted_indices: tuple[int, ...]
     duplicates_discarded: int
     oracle_calls: int
-
-
-class StopWatch:
-    """Context manager accumulating wall time onto a TrialRecord."""
-
-    def __init__(self, record: TrialRecord):
-        self.record = record
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.record.wall_time_s += time.perf_counter() - self._t0
-        return False

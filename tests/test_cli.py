@@ -462,6 +462,53 @@ def test_analyze_rejects_cover_episodes_above_cap(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_analyze_rejects_trials_above_cap(tmp_path, capsys, monkeypatch):
+    # 10^12 trials would draw for days; the grid must be refused before any row runs.
+    def must_not_run(*args):
+        raise AssertionError("analyze ran a row past the --trials cap")
+
+    monkeypatch.setattr(cli, "_analyze_row", must_not_run)
+    out = tmp_path / "x.csv"
+    for value in ("10000001", "1000000000000"):
+        rc = main(["analyze", "--seed", "1", "--out", str(out), "--trials", value, "--cover-episodes", "10"])
+        assert rc == 1, value
+        assert "--trials must be <= 10000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_env_rejects_obstacle_count_out_of_range(tmp_path, capsys, monkeypatch):
+    # A negative count used to write an empty world and 10^11 never finished:
+    # the spec must be refused before generation starts.
+    def must_not_run(*args):
+        raise AssertionError("gen-env generated a world past the obstacle bound")
+
+    monkeypatch.setattr(envmod, "generate_random_env", must_not_run)
+    out = tmp_path / "e.json"
+    for value in ("-1", "100001", "100000000000"):
+        assert main(["gen-env", "--seed", "1", "--out", str(out), "--obstacles", value]) == 1, value
+        err = capsys.readouterr().err
+        assert "obstacle_count must be in [0, 100000]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plan_rejects_pool_width_above_cap(tmp_path, capsys, monkeypatch):
+    # p = 10^11 used to stall building one seed sequence per worker: the pool
+    # must be refused before any per-worker state exists.
+    env_path = gen_env(tmp_path)
+
+    def must_not_run(*args):
+        raise AssertionError("built per-worker state past the pool width bound")
+
+    monkeypatch.setattr(cli.parallel, "worker_seed_sequences", must_not_run)
+    out = tmp_path / "out"
+    for algo in ("prrt", "pqrrt-shared", "pqrrt-unshared"):
+        argv = ["plan", "--algo", algo, "--env", str(env_path), "--seed", "1", "--out", str(out)]
+        assert main([*argv, "--n", "4", "--p", "100000000000"]) == 1, algo
+        err = capsys.readouterr().err
+        assert "bad pool config: pool width p must be in [1, 1024]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_family_z_is_sidak_per_row_bound():
     # 14 sigma-gated rows held together to the two-sided 3-sigma rate of 0.27%.
     assert _family_z(3.0, 14) == pytest.approx(3.728, abs=5e-4)

@@ -539,6 +539,15 @@ def test_generate_rejects_bad_size_range():
         )
 
 
+def test_generator_spec_bounds_obstacle_count():
+    for count in (-1, envmod.MAX_OBSTACLE_COUNT + 1, 10**11):
+        with pytest.raises(ValueError, match="obstacle_count"):
+            GeneratorSpec(bounds=(0, 0, 5, 5), obstacle_count=count)
+    # The largest count a shipped recipe uses is 2000.
+    for count in (0, 2000, envmod.MAX_OBSTACLE_COUNT):
+        assert GeneratorSpec(bounds=(0, 0, 5, 5), obstacle_count=count).obstacle_count == count
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

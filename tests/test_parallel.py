@@ -5,8 +5,8 @@ import pytest
 
 from qrrt import dynamics, parallel, planner, qsim
 from qrrt.env import Environment
+from qrrt.metrics import AlgorithmConfig
 from qrrt.parallel import (
-    ParallelPlanConfig,
     PoolRuntime,
     WorkerPool,
     pqrrt_manager_step,
@@ -74,14 +74,20 @@ def test_pool_validation():
         WorkerPool(p=2, mode="shared", seed_base=1, per_worker_budget=0)
 
 
-def test_pool_from_config():
-    pool = WorkerPool.from_config({"p": 2, "mode": "unshared", "seeds": [3, 4]})
-    assert pool.p == 2
-    assert pool.seeds == (3, 4)
-    assert pool.per_worker_budget == 64
-    assert pool.shared_amplification is False
-    with pytest.raises(ValueError, match="missing key"):
-        WorkerPool.from_config({"mode": "shared"})
+def test_pool_width_is_capped(monkeypatch):
+    # Nothing of size p may be built before the check: not the seed tuple, not a stream.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built per-worker state past the pool width bound")
+
+    monkeypatch.setattr(np.random, "SeedSequence", must_not_run)
+    for p in (parallel.MAX_POOL_WIDTH + 1, 10**11):
+        with pytest.raises(ValueError, match="pool width"):
+            WorkerPool(p=p, mode="classical", seed_base=1)
+        with pytest.raises(ValueError, match="pool width"):
+            WorkerPool(p=p, mode="shared", seeds=(1, 2))
+    monkeypatch.undo()
+    pool = WorkerPool(p=parallel.MAX_POOL_WIDTH, mode="shared", seed_base=1)
+    assert len(PoolRuntime.start(pool).worker_rngs) == parallel.MAX_POOL_WIDTH
 
 
 def test_worker_seed_sequences_derivation():
@@ -177,8 +183,7 @@ def test_quantum_finalizers_make_no_oracle_call(monkeypatch, box_env, system, go
         return wrapped
 
     monkeypatch.setattr(dynamics, "reachable_batch", spy(dynamics.reachable_batch))
-    for module in (planner, parallel):
-        monkeypatch.setattr(module, "reachable", spy(module.reachable))
+    monkeypatch.setattr(planner, "reachable", spy(planner.reachable))
     # Measured rows: each measurement reads the database tagged last.
     tagged, measured = [], []
 
@@ -282,7 +287,7 @@ def test_unshared_step_rejects_wrong_pool_mode(free_env, system):
 
 def test_single_unshared_worker_matches_sequential_planner(box_env, system):
     pool = WorkerPool(p=1, mode="unshared", seeds=(123,))
-    cfg = ParallelPlanConfig(pool=pool, n=6, mode="optimal", max_steps=300)
+    cfg = AlgorithmConfig(name="pqrrt-unshared", pool=pool, n=6, mode="optimal", max_steps=300)
     par = run_parallel_plan(box_env, system, cfg, seed=0, target_nodes=5)
     seq = qrrt_plan(
         box_env, system, 6, "optimal", 300, np.random.default_rng(123), target_nodes=5
@@ -345,7 +350,7 @@ def test_classical_step_rejects_wrong_pool_mode(free_env, system):
 def test_run_parallel_plan_labels(system):
     for mode, label in (("shared", "pqrrt-shared"), ("unshared", "pqrrt-unshared"), ("classical", "prrt")):
         pool = WorkerPool(p=2, mode=mode, seed_base=5)
-        cfg = ParallelPlanConfig(pool=pool, n=4, max_steps=10)
+        cfg = AlgorithmConfig(name=label, pool=pool, n=4, max_steps=10)
         env = Environment(bounds=(0, 0, 10, 10), obstacles=(), x0=(5, 5), xG=(5, 5), delta=0.5)
         result = run_parallel_plan(env, system, cfg, seed=1)
         assert result.record.algorithm == label
@@ -354,7 +359,7 @@ def test_run_parallel_plan_labels(system):
 
 def test_run_parallel_plan_deterministic(box_env, system):
     pool = WorkerPool(p=4, mode="shared", seed_base=77)
-    cfg = ParallelPlanConfig(pool=pool, n=6, max_steps=100)
+    cfg = AlgorithmConfig(name="pqrrt-shared", pool=pool, n=6, max_steps=100)
     runs = [
         run_parallel_plan(box_env, system, cfg, seed=9, target_nodes=6) for _ in range(2)
     ]
@@ -366,7 +371,7 @@ def test_run_parallel_plan_deterministic(box_env, system):
 
 def test_run_parallel_plan_stops_on_cutoff(free_env, system):
     pool = WorkerPool(p=4, mode="classical", seed_base=3, per_worker_budget=2)
-    cfg = ParallelPlanConfig(pool=pool, max_steps=1000)
+    cfg = AlgorithmConfig(name="prrt", pool=pool, max_steps=1000)
     result = run_parallel_plan(free_env, system, cfg, seed=2, cutoff=10)
     assert result.goal_found or result.record.cutoff_calls() >= 10
 
@@ -374,4 +379,4 @@ def test_run_parallel_plan_stops_on_cutoff(free_env, system):
 def test_run_parallel_plan_validates_max_steps(free_env, system):
     pool = WorkerPool(p=2, mode="shared", seed_base=5)
     with pytest.raises(ValueError):
-        run_parallel_plan(free_env, system, ParallelPlanConfig(pool=pool, max_steps=0), seed=1)
+        run_parallel_plan(free_env, system, AlgorithmConfig(name="pqrrt-shared", pool=pool, max_steps=0), seed=1)

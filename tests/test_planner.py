@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrrt import cli, planner
+from qrrt import cli, planner, qsim
 from qrrt.dynamics import default_system, reachable
 from qrrt.env import Environment, GeneratorSpec, generate_random_env
 from qrrt.planner import (
-    MAX_DATABASE_EXPONENT,
     Database,
     TemperatureSchedule,
     Tree,
@@ -199,8 +198,8 @@ def test_tree_grows_past_initial_capacity(rng):
 
 def test_build_database_sizes(free_env, rng):
     tree = Tree(free_env.x0)
-    db0 = build_database(free_env, tree, 0, rng)
-    assert db0.points.shape == (1, 2)
+    db1 = build_database(free_env, tree, 1, rng)
+    assert db1.points.shape == (2, 2)
     db8 = build_database(free_env, tree, 8, rng)
     assert db8.points.shape == (256, 2)
     assert db8.parent_index.shape == (256,)
@@ -210,10 +209,9 @@ def test_build_database_sizes(free_env, rng):
 
 def test_build_database_exponent_bounds(free_env, rng):
     tree = Tree(free_env.x0)
-    with pytest.raises(ValueError):
-        build_database(free_env, tree, -1, rng)
-    with pytest.raises(ValueError):
-        build_database(free_env, tree, MAX_DATABASE_EXPONENT + 1, rng)
+    for n in (-1, 0, qsim.MAX_DATABASE_QUBITS + 1):
+        with pytest.raises(ValueError, match="database exponent"):
+            build_database(free_env, tree, n, rng)
 
 
 def test_build_database_parents_are_nearest(free_env, rng):
@@ -294,7 +292,7 @@ def test_tag_verdict_is_the_single_row_oracle(world, annealed):
         "annealing-7": (cli.ANNEALING_DEFAULTS, 7),
         "slopes-1234": (cli.SLOPES_DEFAULTS, 1234),
     }[world]
-    env = generate_random_env(cli._slope_env_spec(params), seed)
+    env = generate_random_env(cli._env_spec(params), seed)
     system = default_system()
     rng = np.random.default_rng(seed)
     tree = qrrt_plan(env, system, 6, "optimal", 6, rng).tree

@@ -10,7 +10,6 @@ from qrrt.metrics import wilson_hilferty_chi2_quantile
 from qrrt.qsim import (
     MAX_DATABASE_QUBITS,
     AmplifiedState,
-    TwoLevelState,
     amplify,
     good_probability,
     grover_iterate,
@@ -240,11 +239,6 @@ def test_optimal_iterations_rejects_bad_m():
 # ---------------------------------------------------------------------------
 # Two-level vs statevector equivalence
 # ---------------------------------------------------------------------------
-
-
-def test_two_level_theta_definition():
-    tl = TwoLevelState(n=8, m=64, k=0)
-    assert math.sin(tl.theta) ** 2 == pytest.approx(64 / 256, abs=1e-15)
 
 
 def test_statevector_matches_closed_form_grid(rng):
