@@ -7,7 +7,8 @@ Every command requires explicit seeds; none are ever invented. Every seed
 (--seed, --seed-base, --pool-seed-base, --pool-seeds) must be a non-negative
 integer, which numpy's SeedSequence needs; any other value exits 1. A JSON
 file passed via --config supplies per-flag defaults (keys are flag
-destination names); explicit command-line flags always win.
+destination names, and each value must pass its flag's own conversion, so
+{"p": 2.5} exits 1 as --p 2.5 does); explicit command-line flags always win.
 
 Every command creates the directories its outputs need: plan and bench
 write into the directory --out, analyze and gen-env write the file --out,
@@ -775,6 +776,28 @@ def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
     return argv, cfg
 
 
+def _config_default(action: argparse.Action, value):
+    """A --config value run through its flag's converter, as the flag's own text would be.
+
+    argparse applies a flag's type only to text, so a JSON number would
+    otherwise skip it: 2.5 for an integer flag must fail, as --p 2.5 does.
+    """
+    if value is None or action.type is None:
+        return value
+    key = action.dest
+    many = isinstance(action.nargs, int)
+    if many != isinstance(value, list) or (many and len(value) != action.nargs):
+        shape = f"a list of {action.nargs} values" if many else "a single value"
+        raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
+    converted = []
+    for item in value if many else [value]:
+        try:
+            converted.append(action.type(str(item)))
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: bad value {item!r} ({exc})")
+    return converted if many else converted[0]
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
@@ -788,9 +811,8 @@ def main(argv=None) -> int:
             subparsers = parser._subparsers._group_actions[0].choices.values()
             known: set[str] = set()
             for sp in subparsers:
-                dests = {action.dest for action in sp._actions}
-                known |= dests
-                relevant = {k: v for k, v in cfg.items() if k in dests}
+                relevant = {a.dest: _config_default(a, cfg[a.dest]) for a in sp._actions if a.dest in cfg}
+                known |= set(relevant)
                 if relevant:
                     sp.set_defaults(**relevant)
             unknown = set(cfg) - known

@@ -20,7 +20,14 @@ horizon, counted from the iteration at which it joined. When half a block or
 less is left in flight, the next rows join after the step-0 tests (capture
 and free target). So memory does not grow with the number of rows, and a
 call runs one dwindling tail of small steps rather than one per block.
-Results do not depend on the block size or on which rows share a step.
+
+That tail is fused: once every row has joined, a step has run and two to
+_REACH_TAIL_ROWS rows are live, each steps its error recursion on to its
+capture or its horizon, and all their segments up to the capture go to one
+segments_free call. A row is reachable iff it captured within its horizon
+and all those segments are free, as in the step loop, which stops at the
+first blocked one instead. Results do not depend on the block size, the
+tail size or on which rows share a step.
 """
 
 from __future__ import annotations
@@ -65,6 +72,18 @@ UNSTABLE_EXAMPLE_GAIN = ((1.9, -7.5), (1.0, 7.0))
 # annealing world a row's first, longest segments cost about 4.5 KiB of
 # collision temporaries, so a full queue peaks near 36 MiB.
 _REACH_BLOCK_ROWS = 8192
+
+# Once every row has joined and a step has run, a queue of two to this many
+# live rows is finished by _tail with one segments_free call, rather than one
+# call per remaining step. On the 2000-obstacle annealing world a 512-row tag
+# has at most a few hundred rows left after its first step, so at 256 every
+# tag there ends in the tail after that step (at 64, a third of them took a
+# second step first, and the tag took 4% longer). A tail of 256 rows holds
+# at most 256 x horizon segments. A lone row stays in the step loop: it
+# shares the tail's per-step cost with no other row, and on the 45-obstacle
+# slopes world most lone rows that survive their first segment are blocked
+# by their next one, where the loop stops at once.
+_REACH_TAIL_ROWS = 256
 
 
 class UnstableGainError(ValueError):
@@ -137,6 +156,48 @@ def _capture_radius(env: Environment, sys: LinearSystem) -> float:
     return env.delta if sys.capture_radius is None else sys.capture_radius
 
 
+def _advance(err: np.ndarray, a_cl: np.ndarray) -> np.ndarray:
+    """One step of the error recursion for every row: e @ (A - B K)^T.
+
+    Written out per row from the columns of A - B K, because a matmul rounds
+    a lone row differently from the same row in a batch.
+    """
+    return err[:, :1] * a_cl[:, 0] + err[:, 1:] * a_cl[:, 1]
+
+
+def _captured(err: np.ndarray, rc2: float) -> np.ndarray:
+    return np.einsum("ij,ij->i", err, err) <= rc2
+
+
+def _tail(env, a_cl, rc2, err, targets, x_prev, horizon) -> np.ndarray:
+    """The verdicts of the last few live rows, with one segments_free call.
+
+    Each row steps its error recursion, with the arithmetic of the queue's
+    steps, until it captures or has taken its remaining horizon[i] steps.
+    It is reachable iff it captured and every segment up to the capture is
+    free, which is the queue's verdict: rows that collide first only test a
+    few segments more.
+    """
+    pending = np.ones(err.shape[0], dtype=bool)  # neither captured nor out of horizon
+    captured_at = np.zeros(err.shape[0], dtype=np.intp)  # 0: not captured
+    points = [x_prev]
+    k = 0
+    while pending.any():
+        k += 1
+        err = _advance(err, a_cl)
+        points.append(targets + err)
+        captured = pending & _captured(err, rc2)
+        captured_at[captured] = k
+        pending &= ~captured & (horizon > k)
+    # Segment j of row i, from points[j][i] to points[j + 1][i], has flat index j * rows + i.
+    flat = np.concatenate(points)
+    seg = np.flatnonzero(np.arange(k)[:, None] < captured_at)
+    free = segments_free(env, np.take(flat, seg, axis=0), np.take(flat, seg + err.shape[0], axis=0))
+    reach = captured_at > 0
+    reach[seg[~free] % err.shape[0]] = False
+    return reach
+
+
 def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np.ndarray:
     """Vectorized reachability over paired (parent, target) rows.
 
@@ -152,9 +213,10 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
     half a block or less is in flight, the next rows join: those captured
     at step 0 with a free target are True at once, and only the others
     enter the queue. A call that fits in one block joins once and runs the
-    plain horizon loop. Every row's arithmetic involves that row alone, so
-    results do not depend on the block size or on which other rows share a
-    step.
+    plain horizon loop, and the last few live rows finish in one fused tail
+    (see the module docstring). Every row's arithmetic involves that row
+    alone, so results do not depend on the block size or on which other
+    rows share a step.
     """
     parents = np.asarray(parents, dtype=float).reshape(-1, 2)
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
@@ -164,9 +226,6 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
     rc = _capture_radius(env, sys)
     rc2 = rc * rc
     result = np.zeros(total, dtype=bool)
-    # Columns of A - B K; e @ (A - B K)^T written out per row, because a
-    # matmul rounds a lone row differently from the same row in a batch.
-    col0, col1 = sys.a_cl[:, 0], sys.a_cl[:, 1]
     # The queue, in row order: row index, error, target and last point.
     live = np.zeros(0, dtype=np.intp)
     err = targets_live = x_prev = np.zeros((0, 2))
@@ -179,7 +238,7 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
             stop = min(total, joined + _REACH_BLOCK_ROWS - live.size)
             p, t = parents[joined:stop], targets[joined:stop]
             e = p - t
-            captured = np.einsum("ij,ij->i", e, e) <= rc2
+            captured = _captured(e, rc2)
             free = points_free(env, t)
             result[joined:stop] = free & captured
             new = (free & ~captured).nonzero()[0]
@@ -191,10 +250,16 @@ def reachable_batch(env: Environment, sys: LinearSystem, parents, targets) -> np
             joined = stop
         if live.size == 0:
             break
-        err = err[:, :1] * col0 + err[:, 1:] * col1
+        if step and joined == total and 1 < live.size <= _REACH_TAIL_ROWS:
+            # Each row's steps left: its join group is the first whose stop lies past it.
+            ends, stops = np.array(expiry).T
+            horizon = ends[stops.searchsorted(live, side="right")] - step
+            result[live[_tail(env, sys.a_cl, rc2, err, targets_live, x_prev, horizon)]] = True
+            break
+        err = _advance(err, sys.a_cl)
         x_next = targets_live + err
         seg_ok = segments_free(env, x_prev, x_next)
-        captured = seg_ok & (np.einsum("ij,ij->i", err, err) <= rc2)
+        captured = seg_ok & _captured(err, rc2)
         result[live[captured]] = True
         keep = seg_ok & ~captured
         step += 1

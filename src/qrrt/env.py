@@ -15,8 +15,9 @@ point-in-rectangle comparisons. A uniform grid over the bounds (Ericson,
 obstacle) and (point, obstacle) pairs reach those tests:
 
 * each Environment buckets its obstacles into grid cells once, at
-  construction, as a CSR cell -> obstacle table; the cell side is about
-  sqrt(area / obstacle count), capped per axis;
+  construction, as a CSR cell -> obstacle table of int32 obstacle indices
+  (corners are gathered from the obstacle array, so an entry costs 4 bytes);
+  the cell side is about sqrt(area / obstacle count), capped per axis;
 * a query maps its axis-aligned bounding box to the cells it reaches, takes
   the obstacles listed there and drops the pairs whose boxes do not overlap;
   only the survivors run the exact test;
@@ -25,7 +26,12 @@ obstacle) and (point, obstacle) pairs reach those tests:
   (the cell map is monotone, so overlapping boxes always share a cell);
 * in a batch holding segments many cells long, each segment's box is
   replaced by the boxes of pieces at most one cell long, so its candidates
-  grow with its length rather than with the length squared;
+  grow with its length rather than with the length squared. The pieces are
+  tested in waves along each segment, 2 pieces, then 4, 8 and so on, and a
+  row leaves after the first wave that blocks it. A row's verdict is the OR,
+  over its candidates, of the slab test on the whole segment; the pieces
+  only choose the candidates, so neither their order nor the early exit
+  changes a bit;
 * calls of at most a fixed number of rows x obstacles skip the grid and run
   the same tests as one dense (row, obstacle) broadcast, which is cheaper at
   that size and is the reference the grid path is tested against.
@@ -162,6 +168,11 @@ _DENSE_MAX_POINT_PAIRS = 8192
 # small tree).
 _SPLIT_MIN_CELLS = 4
 
+# Pieces per segment in the first wave of the split path; each later wave
+# doubles it. Most blocked rows of a dense world are blocked in their first
+# cells, so they skip the rest of their pieces.
+_FIRST_WAVE_PIECES = 2
+
 # Upper bound on the grid's cells per axis, so memory stays bounded however
 # many obstacles a world has.
 _MAX_CELLS_PER_AXIS = 256
@@ -208,11 +219,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Grid:
     """Uniform grid over the bounds with a CSR cell -> obstacle table.
 
-    Cell (ix, iy) has id iy * nx + ix; entries start[id]:start[id + 1] of lo
-    and hi are the corners of the obstacles reaching into it.
+    Cell (ix, iy) has id iy * nx + ix; entries start[id]:start[id + 1] of
+    entries are the int32 indices of the obstacles reaching into it. Corners
+    are gathered from the obstacle array itself, so the table costs 4 bytes
+    an entry rather than 32.
     """
 
     def __init__(self, bounds: np.ndarray, obstacles: np.ndarray):
+        self.obstacles = obstacles  # the Environment's own (O, 4) array, not a copy
         self.origin = bounds[:2]  # lower-left corner of the bounds
         size = bounds[2:] - self.origin
         side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
@@ -223,24 +237,28 @@ class _Grid:
         # rounding error of the slab formula and of the segment pieces on
         # in-bounds segments, with margin to spare.
         self.pad = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(bounds))))
-        lo, hi = obstacles[:, :2], obstacles[:, 2:]
-        owner, cells = self.box_cells(lo, hi)
-        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
+        owner, cells = self.box_cells(obstacles[:, :2], obstacles[:, 2:])
+        # int32 offsets and indices: a table of 2^31 entries would need tens
+        # of GB of temporaries in box_cells before it overflowed.
+        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int32)
         np.cumsum(np.bincount(cells, minlength=self.start.size - 1), out=self.start[1:])
-        owner = owner[np.argsort(cells, kind="stable")]
-        self.lo = np.take(lo, owner, axis=0)  # (entries, 2) obstacle lower corners
-        self.hi = np.take(hi, owner, axis=0)  # (entries, 2) obstacle upper corners
+        self.entries = owner[np.argsort(cells, kind="stable")].astype(np.int32)
 
     def cells(self, pts: np.ndarray) -> np.ndarray:
         """(K, 2) cell coordinates of points, clipped to the grid.
 
         Monotone in each coordinate, so boxes that overlap share a cell.
         """
-        t = pts - self.origin
-        t /= self.cell
-        np.maximum(t, 0.0, out=t)
-        np.minimum(t, self.top, out=t)
-        return t.astype(np.intp)
+        # One axis at a time: numpy loops over a (K, 2) array broadcast
+        # against a (2,) one two elements at a time, several times slower.
+        out = np.empty(pts.shape, dtype=np.intp)
+        for k in (0, 1):
+            t = pts[:, k] - self.origin[k]
+            t /= self.cell[k]
+            np.maximum(t, 0.0, out=t)
+            np.minimum(t, self.top[k], out=t)
+            out[:, k] = t
+        return out
 
     def box_cells(self, box_lo: np.ndarray, box_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(box, cell id) for every cell every box reaches into."""
@@ -253,10 +271,11 @@ class _Grid:
         return box, np.repeat(lo[:, 1] * nx + lo[:, 0], counts) + dy * nx + dx
 
     def pairs(self, row: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, entry) for every obstacle entry listed in each (row, cell)."""
+        """(row, obstacle corners) for every obstacle listed in each (row, cell)."""
         first = np.take(self.start, cells)
         counts = np.take(self.start, cells + 1) - first
-        return np.repeat(row, counts), _ranges(first, counts)
+        owner = np.take(self.entries, _ranges(first, counts))
+        return np.repeat(row, counts), np.take(self.obstacles, owner, axis=0)
 
 
 def _in_bounds(env: Environment, pts: np.ndarray) -> np.ndarray:
@@ -281,9 +300,9 @@ def points_free(env: Environment, points) -> np.ndarray:
         return ok & ~_boxes_overlap(p, p, o[..., :2], o[..., 2:]).any(axis=1)
     rows = np.flatnonzero(ok)
     cells = grid.cells(np.take(pts, rows, axis=0))
-    row, entry = grid.pairs(rows, cells[:, 1] * grid.shape[0] + cells[:, 0])
+    row, rect = grid.pairs(rows, cells[:, 1] * grid.shape[0] + cells[:, 0])
     p = np.take(pts, row, axis=0)
-    inside = _boxes_overlap(p, p, np.take(grid.lo, entry, axis=0), np.take(grid.hi, entry, axis=0))
+    inside = _boxes_overlap(p, p, rect[:, :2], rect[:, 2:])
     ok[row[inside]] = False
     return ok
 
@@ -299,6 +318,26 @@ def _segments_hit_rects(a: np.ndarray, b: np.ndarray, rects: np.ndarray) -> np.n
     with np.errstate(invalid="ignore"):  # non-finite rows are blocked by the caller
         d = b - a
     return _slab_hit(a[:, None, :], d[:, None, :], rects[None, :, (0, 1)], rects[None, :, (2, 3)]).any(axis=1)
+
+
+def _grid_hits(grid: _Grid, a, d, p0, p1, piece_row=None) -> np.ndarray:
+    """Rows of segments a + t d that meet an obstacle listed near their pieces p0 -> p1.
+
+    piece_row maps each piece to its segment (None: piece i is segment i).
+    Every candidate runs the slab test on its whole segment, so the pieces
+    only choose which obstacles are tried.
+    """
+    box_lo = np.minimum(p0, p1) - grid.pad
+    box_hi = np.maximum(p0, p1) + grid.pad
+    piece, rect = grid.pairs(*grid.box_cells(box_lo, box_hi))
+    near = np.flatnonzero(
+        _boxes_overlap(np.take(box_lo, piece, axis=0), np.take(box_hi, piece, axis=0), rect[:, :2], rect[:, 2:])
+    )
+    row = np.take(piece, near)
+    if piece_row is not None:
+        row = np.take(piece_row, row)
+    rect = np.take(rect, near, axis=0)
+    return row[_slab_hit(np.take(a, row, axis=0), np.take(d, row, axis=0), rect[:, :2], rect[:, 2:])]
 
 
 def segments_free(env: Environment, a, b) -> np.ndarray:
@@ -320,26 +359,29 @@ def segments_free(env: Environment, a, b) -> np.ndarray:
     rows = np.flatnonzero(ok)
     a, b = np.take(a, rows, axis=0), np.take(b, rows, axis=0)
     d = b - a
-    p0, p1, piece_row = a, b, None
-    span = np.abs(d) / grid.cell
-    if np.any(span > _SPLIT_MIN_CELLS):
-        # Cover each segment by pieces at most one cell long.
-        counts = np.maximum(np.ceil(span.max(axis=1)), 1.0).astype(np.intp)
-        piece_row = np.repeat(np.arange(rows.size), counts)
-        step = np.repeat(d / counts[:, None], counts, axis=0)
-        p0 = np.take(a, piece_row, axis=0) + _ranges(np.zeros_like(counts), counts)[:, None] * step
-        p1 = p0 + step
-    box_lo = np.minimum(p0, p1) - grid.pad
-    box_hi = np.maximum(p0, p1) + grid.pad
-    piece, entry = grid.pairs(*grid.box_cells(box_lo, box_hi))
-    lo, hi = np.take(grid.lo, entry, axis=0), np.take(grid.hi, entry, axis=0)
-    near = np.flatnonzero(_boxes_overlap(np.take(box_lo, piece, axis=0), np.take(box_hi, piece, axis=0), lo, hi))
-    row = np.take(piece, near)
-    if piece_row is not None:
-        row = np.take(piece_row, row)
-    lo, hi = np.take(lo, near, axis=0), np.take(hi, near, axis=0)
-    hit = _slab_hit(np.take(a, row, axis=0), np.take(d, row, axis=0), lo, hi)
-    ok[np.take(rows, row[hit])] = False
+    # Cells spanned on the longer axis (per axis, as in _Grid.cells).
+    span = np.maximum(np.abs(d[:, 0]) / grid.cell[0], np.abs(d[:, 1]) / grid.cell[1])
+    hit = np.zeros(rows.size, dtype=bool)
+    if not np.any(span > _SPLIT_MIN_CELLS):
+        hit[_grid_hits(grid, a, d, a, b)] = True
+    else:
+        # Cover each segment by pieces at most one cell long and test them in
+        # waves along it, each twice as wide as the last; a row leaves once a
+        # wave blocks it or its pieces run out.
+        counts = np.maximum(np.ceil(span), 1.0).astype(np.intp)
+        step = d / counts[:, None]
+        live = np.arange(rows.size)
+        first, width = 0, _FIRST_WAVE_PIECES
+        while live.size:
+            wave = np.minimum(np.take(counts, live) - first, width)
+            piece_row = np.repeat(live, wave)
+            piece_step = np.take(step, piece_row, axis=0)
+            p0 = np.take(a, piece_row, axis=0) + _ranges(np.full_like(wave, first), wave)[:, None] * piece_step
+            hit[_grid_hits(grid, a, d, p0, p0 + piece_step, piece_row)] = True
+            first += width
+            width *= 2
+            live = live[(np.take(counts, live) > first) & ~np.take(hit, live)]
+    ok[rows[hit]] = False
     return ok
 
 

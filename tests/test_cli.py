@@ -694,6 +694,45 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
+    # Config values are parser defaults, which argparse never runs through a
+    # flag's type: a float pool width used to reach range() (exit 2) and a
+    # float obstacle count used to be rounded up into a world (exit 0).
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    plan = ["plan", "--algo", "prrt", "--env", str(env_path), "--seed", "1", "--out", str(out), "--target-nodes", "2"]
+    world = tmp_path / "world.json"
+    cases = [
+        ({"p": 2.5}, plan),
+        ({"obstacles": 2.5}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"obstacles": "many"}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"obstacles": True}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"bounds": [0, 0, 10]}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"delta": [0.5]}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"trials": "3e3"}, ["analyze", "--seed", "1", "--out", str(tmp_path / "a.csv")]),
+    ]
+    for cfg_values, argv in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_values))
+        rc = main(["--config", str(cfg), *argv])
+        err = capsys.readouterr().err
+        (key,) = cfg_values
+        assert rc == 1, (cfg_values, err)
+        assert f"config key '{key}'" in err and "Traceback" not in err, (cfg_values, err)
+    assert not out.exists() and not world.exists() and not (tmp_path / "a.csv").exists()
+
+
+def test_config_values_of_the_right_type_are_accepted(tmp_path):
+    # Whole numbers for float flags, lists for nargs flags, strings a flag
+    # would parse and null for flags that default to None all still work.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bounds": [0, 0, 10, 10], "obstacles": "6", "size_range": [0.5, 1.5], "delta": 1, "x0": None}))
+    by_config = tmp_path / "by_config.json"
+    assert main(["--config", str(cfg), "gen-env", "--seed", "3", "--out", str(by_config)]) == 0
+    by_flags = gen_env(tmp_path, name="by_flags.json", extra=("--delta", "1"))
+    assert by_config.read_text() == by_flags.read_text()
+
+
 def test_malformed_and_missing_config_rejected(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

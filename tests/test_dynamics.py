@@ -262,6 +262,10 @@ def streaming_rows(env, sys, rng):
 @pytest.mark.parametrize("gain", [DEFAULT_GAIN, ((-4.0, -5.0), (1.2, 2.5))], ids=["diagonal", "coupled"])
 @pytest.mark.parametrize("horizon", [3, 20])
 def test_reachable_batch_streamed_rows_match_scalar_oracle(monkeypatch, rng, gain, horizon):
+    # Small blocks make rows join at different steps, so a fused tail holds
+    # rows with different steps left; horizon 3 expires rows inside it. Tail
+    # sizes: never (0, and 1, since a lone row stays in the loop), from two
+    # rows, from seven, and every row once all have joined (10**9).
     spec = envmod.GeneratorSpec(bounds=(0.0, 0.0, 20.0, 20.0), obstacle_count=45, size_range=(1.5, 3.0), delta=0.4)
     env = envmod.generate_random_env(spec, 1234)
     sys = LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=gain, horizon=horizon)
@@ -270,7 +274,9 @@ def test_reachable_batch_streamed_rows_match_scalar_oracle(monkeypatch, rng, gai
     assert 10 < expect.sum() < 140
     for block in (1, 3, 7, 16):
         monkeypatch.setattr(dynamics, "_REACH_BLOCK_ROWS", block)
-        np.testing.assert_array_equal(reachable_batch(env, sys, parents, targets), expect)
+        for tail in (0, 1, 2, 7, 10**9):
+            monkeypatch.setattr(dynamics, "_REACH_TAIL_ROWS", tail)
+            np.testing.assert_array_equal(reachable_batch(env, sys, parents, targets), expect, err_msg=f"{block} {tail}")
 
 
 def test_reachable_deterministic(box_env, system):

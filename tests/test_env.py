@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +290,60 @@ def _probe_segments(env, pts, rng):
     return np.vstack(starts), np.vstack(ends)
 
 
+def _dense_hits(env, a, b):
+    """The dense slab reference, in chunks small enough for the 2000-obstacle worlds."""
+    return np.concatenate(
+        [np.zeros(0, dtype=bool)]
+        + [envmod._segments_hit_rects(a[i : i + 256], b[i : i + 256], env.obstacles) for i in range(0, a.shape[0], 256)]
+    )
+
+
+def _pieces(env, a, b):
+    """Piece count and piece step of each segment on the split path (cells of at most one side)."""
+    d = b - a
+    counts = np.maximum(np.ceil((np.abs(d) / env.grid.cell).max(axis=1)), 1.0)
+    return counts, d / counts[:, None]
+
+
+def _wave_segments(env, rng):
+    """Segments for the piece waves: world diagonals and chords up to the world's
+    length, rows blocked in their last piece alone, and rows grazing an obstacle
+    corner at a piece boundary, exact and 1-3 ulps off."""
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    corners = env.bounds[[[0, 1], [2, 3], [0, 3], [2, 1]]]
+    starts, ends = [corners, rng.uniform(lo, hi, (200, 2))], [corners[[1, 0, 3, 2]], rng.uniform(lo, hi, (200, 2))]
+    if env.grid is None:
+        return np.vstack(starts), np.vstack(ends), 0
+    cell = env.grid.cell
+    o = env.obstacles[rng.permutation(env.obstacles.shape[0])[:400]]
+    # Ends one ulp right of an obstacle's right edge, starts 1.5-8 cells back
+    # along a heading within 30 degrees of +x.
+    end = np.column_stack([np.nextafter(o[:, 2], np.inf), rng.uniform(o[:, 1], o[:, 3])])
+    angle = rng.uniform(-np.pi / 6, np.pi / 6, o.shape[0])
+    start = end - rng.uniform(1.5, 8.0, (o.shape[0], 1)) * cell * np.column_stack([np.cos(angle), np.sin(angle)])
+    start = np.clip(start, lo, hi)
+    counts, step = _pieces(env, start, end)
+    last = _dense_hits(env, start, end) & ~_dense_hits(env, start, start + (counts - 1)[:, None] * step)
+    starts.append(start[last])
+    ends.append(end[last])
+    # Through a lower-left corner on a heading that only touches the obstacle
+    # there, with the corner at piece boundary j of n pieces.
+    n = rng.integers(2, 40, o.shape[0])
+    j = rng.integers(1, n)
+    step = 0.999 * cell * np.array([1.0, -1.0])
+    a = o[:, :2] - j[:, None] * step
+    b = a + n[:, None] * step
+    inside = ((a >= lo) & (a <= hi) & (b >= lo) & (b <= hi)).all(axis=1)
+    starts += [a[inside], _nudge(a[inside], rng)]
+    ends += [b[inside], _nudge(b[inside], rng)]
+    return np.vstack(starts), np.vstack(ends), int(last.sum())
+
+
 LIMITS = ("_DENSE_MAX_SEGMENT_PAIRS", "_DENSE_MAX_POINT_PAIRS")
+
+# First wave widths: one piece, the shipped two, and more pieces than any
+# in-bounds segment has, which tests every piece in one wave.
+FIRST_WAVES = (1, 2, 10**6)
 
 
 @pytest.mark.parametrize("split_min_cells", [0, math.inf])
@@ -300,6 +354,10 @@ def test_grid_broadphase_matches_dense_reference(count, seed, split_min_cells, m
     rng = np.random.default_rng(seed)
     pts = _probe_points(env, rng)
     a, b = _probe_segments(env, pts, rng)
+    wave_a, wave_b, last_piece_rows = _wave_segments(env, rng)
+    a, b = np.vstack([a, wave_a]), np.vstack([b, wave_b])
+    # Some rows must be blocked in their last piece alone.
+    assert count < 45 or last_piece_rows >= 10
 
     def dense(fn, *arrays):
         with monkeypatch.context() as m:
@@ -310,10 +368,14 @@ def test_grid_broadphase_matches_dense_reference(count, seed, split_min_cells, m
     for limit in LIMITS:
         monkeypatch.setattr(envmod, limit, 0)
     assert np.array_equal(points_free(env, pts), dense(points_free, pts))
-    assert np.array_equal(segments_free(env, a, b), dense(segments_free, a, b))
+    expect = dense(segments_free, a, b)
+    # Waves run on the split path alone.
+    for first_wave in FIRST_WAVES if split_min_cells == 0 else (2,):
+        monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
+        assert np.array_equal(segments_free(env, a, b), expect), first_wave
     assert not segments_free(env, a + 1e6, b + 1e6).any()
     # The probes must exercise both outcomes.
-    assert count == 0 or 0 < segments_free(env, a, b).mean() < 1
+    assert count == 0 or 0 < expect.mean() < 1
 
 
 RECIPE_WORLDS = {
@@ -363,21 +425,39 @@ def test_grid_segments_match_slab_reference_at_obstacle_boundaries(world, monkey
     b = np.vstack([ends] * len(starts) + starts)
     bad = rng.uniform(lo, hi, (12, 2))
     bad[np.arange(12), np.arange(12) % 2] = np.tile([np.nan, np.inf, -np.inf], 4)
-    a = np.vstack([a, bad, ends[:12]])
-    b = np.vstack([b, ends[:12], bad])
+    # From the far corner of the bounds: segments nearly the world's length.
+    far = np.where(ends < 0.5 * (lo + hi), hi, lo)
+    a = np.vstack([a, bad, ends[:12], far, ends])
+    b = np.vstack([b, ends[:12], bad, ends, far])
 
     inside = (np.isfinite(a) & (a >= lo) & (a <= hi) & np.isfinite(b) & (b >= lo) & (b <= hi)).all(axis=1)
-    hit = np.concatenate(
-        [envmod._segments_hit_rects(a[i : i + 256], b[i : i + 256], env.obstacles) for i in range(0, a.shape[0], 256)]
-    )
+    hit = _dense_hits(env, a, b)
     for limit in LIMITS:
         monkeypatch.setattr(envmod, limit, 0)
-    for split_min_cells in (0, math.inf):
+    for split_min_cells, first_wave in [(math.inf, 2)] + [(0, w) for w in FIRST_WAVES]:
         monkeypatch.setattr(envmod, "_SPLIT_MIN_CELLS", split_min_cells)
+        monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
         got = segments_free(env, a, b)
         np.testing.assert_array_equal(got, inside & ~hit)
     # Both verdicts occur among segments ending on a boundary.
     assert 0 < got[: 4 * n].mean() < 1
+
+
+def test_grid_holds_little_beyond_the_obstacles():
+    # The bench annealing world (and the dense-annealing benchmark workload).
+    # Its grid lists 4,235 (cell, obstacle) entries over 45 x 45 cells: as
+    # int32 obstacle indices plus an int32 cell table it holds about 28 KB,
+    # where float64 copies of every entry's corners held 154 KB.
+    spec, seed = RECIPE_WORLDS["annealing-7"]
+    world = generate_random_env(spec, seed)
+    tracemalloc.start()
+    try:
+        env = Environment(bounds=world.bounds, obstacles=world.obstacles, x0=world.x0, xG=world.xG, delta=world.delta)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert env.grid is not None and np.shares_memory(env.obstacles, world.obstacles)
+    assert held <= 40_000, held
 
 
 # ---------------------------------------------------------------------------
