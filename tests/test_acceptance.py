@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from qrrt import prob, qsim
-from qrrt.cli import bench_annealing, bench_corridor, bench_heatmap, bench_slopes
+from qrrt.cli import bench_annealing, bench_corridor, bench_heatmap, bench_slopes, main
 from qrrt.dynamics import UnstableGainError, load_system
 from qrrt.parallel import PoolRuntime, WorkerPool
 from qrrt.planner import Database, _measure_and_finalize
@@ -267,8 +267,9 @@ SMALL_RECIPES = (
     ("annealing", bench_annealing, dict(trees=1, target_nodes=6, n=6), 9004),
 )
 
-# sha256 of every artifact of SMALL_RECIPES, CSVs with the wall_s column
-# stripped. Any change of these is a change of the seeded planner output.
+# sha256 of every artifact of SMALL_RECIPES and of the CLI_RUNS below, CSVs
+# with the wall_s column stripped. Any change of these is a change of the
+# seeded planner output.
 GOLDEN_DIGESTS = {
     "slopes/runs.csv": "b2bd8acb9af4ee74de45402602161bb0b9612893eb2f2f457122280406127eef",
     "slopes/slope_points.csv": "2339d56c60643a8499604bba41511b43a6eca304b8669d2db4fa549318b3b1fa",
@@ -280,6 +281,43 @@ GOLDEN_DIGESTS = {
     "heatmap/summary.csv": "a3a61cf0ccc72dcdec96ea73a2fd62d7808d6cf76acd4acd72d7f9481db2dc41",
     "corridor/corridor.csv": "36126c7de7af6bf7efbc2a233db5befa276f4643156478fe9c120341b9bed802",
     "annealing/annealing.csv": "27971544fc35a30d93f95ba17855de82d9b1149cb60841b51c9e07a3a900177f",
+    "cli/analyze.csv": "086dd7b41dbbf273e777674e4996fd2a7e7f046d773dee3655f798567ced9c95",
+    "cli/bench-annealing/stdout": "3a2a9c489bd6d76a6856165ae1a1b4012d0f7ffb73efa968bbe80cad954e217a",
+    "cli/bench-corridor/stdout": "70e6c7b9610a788916330947cdb424b1617938b610fdf15036b36a1c5dd015c7",
+    "cli/bench-heatmap/stdout": "a4ab940602518792ca0ef7d96ff2fa6e74248dbe958e730996ff8e2de278face",
+    "cli/bench-slopes/stdout": "65409f70e04d7a73d70d65b329c879f5bd3a0edd50f19d0fbde9eaf701e9f508",
+    "cli/plan-pqrrt-shared-amp/path.json": "d0e75268790c8b8ae0f39567e8c2a775be624f78eb7141b0d294b9ace1cdb011",
+    "cli/plan-pqrrt-shared-amp/record.csv": "cadb062c0bc12c6ed6cb8fb76741ef899c49c084c6c8b2b1394cbae286c1a45a",
+    "cli/plan-pqrrt-shared-amp/stdout": "251ffd1f6b1d866c00819373241a0363ba19557537b6327fe1de5fc4e361bba1",
+    "cli/plan-pqrrt-shared-amp/tree.json": "d0273a885813d69ff0c970d6324bc4131131de2dd7b315d8991591000bccb144",
+    "cli/plan-pqrrt-shared/amplitudes.csv": "b01f02930dbb72fb8e583f49847ed536b3a09017788d5ece069233faed0aabf6",
+    "cli/plan-pqrrt-shared/path.json": "d0e75268790c8b8ae0f39567e8c2a775be624f78eb7141b0d294b9ace1cdb011",
+    "cli/plan-pqrrt-shared/record.csv": "28ccc244df06625c324b39dd301e8b747510a47591a2cd148d95bbcc24c56f9c",
+    "cli/plan-pqrrt-shared/stdout": "51cc102cc75931f5ae0d6fe635874e479f80302f8874f4299237b5912821cbd1",
+    "cli/plan-pqrrt-shared/tree.json": "d0273a885813d69ff0c970d6324bc4131131de2dd7b315d8991591000bccb144",
+    "cli/plan-pqrrt-unshared/path.json": "8ad20843dcd481483c43aa07c858883f78d0d8e9363319cbbd98b5507c1f72e6",
+    "cli/plan-pqrrt-unshared/record.csv": "7a4156cb95765d344f54a2d846a1608d0765e14061c94180b5b35143d966f235",
+    "cli/plan-pqrrt-unshared/stdout": "56850a02bb7d7baddd8ab0e2bb7de16b0eac28806150b0c6bbba274fb9e54b1c",
+    "cli/plan-pqrrt-unshared/tree.json": "efea777347f335a15f3ab853f6b5477ea8734153be0e56446ce60e71083a0f23",
+    "cli/plan-prrt/path.json": "cb1fa8ec375453a37aa8f8113040b66fffc19b08c3b6e9ee87e8b339193d6e7b",
+    "cli/plan-prrt/record.csv": "7e658b3ae9d0dbba548caffb0a1ed32989252647bdf814db38eb02b995fe7ab3",
+    "cli/plan-prrt/stdout": "0c2199e03943a2a06423c0baa12e5f514ac941ef6f76873789900f157b652883",
+    "cli/plan-prrt/tree.json": "5b229d53de97e57edb3ca51312d70f99e7c0d43fb9b68d7408a5327f07e1f309",
+    "cli/plan-qda/amplitudes.csv": "f3fa5c387e015d82003a3e558cac6b59251f27cc19e0203aa5e6b19a7809e3f4",
+    "cli/plan-qda/path.json": "d3d6d4cc86f29c06fff3ce675085509e1b2ac1eaaadf0ccadf7428d3701c43a1",
+    "cli/plan-qda/record.csv": "f4acf3aef89d1c5f18fe669a0bb39e7018065860bd59316216bd7b32b0ca370b",
+    "cli/plan-qda/stdout": "912b975c96cd809744165dd55d35001cddacf70792b8d6f3bdaefa727d3b6a69",
+    "cli/plan-qda/tree.json": "8022606b08f3ffabca85a3bca48a803cf5924ab49e0756404ec688cb2c881ebe",
+    "cli/plan-qrrt/amplitudes.csv": "b01f02930dbb72fb8e583f49847ed536b3a09017788d5ece069233faed0aabf6",
+    "cli/plan-qrrt/path.json": "c790f7a825d2cac9ac31a07834459c4c0591f5c4522738e7c086b91bb828bfc7",
+    "cli/plan-qrrt/record.csv": "a60caa63d1b086f6ac3d96623e76fc2b6b82edbe2c8ce5e878620eced4d5ebae",
+    "cli/plan-qrrt/stdout": "b01ac9448e291432fe2a85cfc11989629c00d9322e76536d34926e3479ae28db",
+    "cli/plan-qrrt/tree.json": "376fe5a44b97444968c267688066e1920101259ebbccbb3c018703f2ca209ad4",
+    "cli/plan-rrt/path.json": "a23ad7255a441a53665ca01d4f45932055f1085453834e35b85fe6abb40f11cc",
+    "cli/plan-rrt/record.csv": "668b85f0f73573fb19947547700e99d3a413bdaf0054beacf66a53110f87542f",
+    "cli/plan-rrt/stdout": "9bbea6d9a1710f1ef0e5581d3e0203f64756fd53de43a4835949d7ce7d998b12",
+    "cli/plan-rrt/tree.json": "67fd407d140e4f5cbbeb2242ae7b35f696b4258bcb8de30de6b8bf928fc6aa76",
+    "cli/world.json": "ec30677081e9ffe730db148813785ac1f64bea8f8bfde557ac5fac38daa82bee",
 }
 
 
@@ -291,14 +329,70 @@ def _artifact_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _changed(digests: dict, cli: bool) -> list[str]:
+    """Keys of one half of GOLDEN_DIGESTS (the cli/ keys or the rest) whose digest differs."""
+    golden = {k: v for k, v in GOLDEN_DIGESTS.items() if k.startswith("cli/") == cli}
+    return sorted(k for k in golden.keys() | digests.keys() if digests.get(k) != golden.get(k))
+
+
 def test_bench_recipe_artifacts_match_golden_digests(tmp_path):
     digests = {}
     for name, fn, overrides, seed_base in SMALL_RECIPES:
         out = tmp_path / name
         fn(str(out), seed_base, **overrides)
         digests.update({f"{name}/{p.name}": _artifact_digest(p) for p in out.iterdir()})
-    changed = sorted(k for k in GOLDEN_DIGESTS.keys() | digests.keys() if digests.get(k) != GOLDEN_DIGESTS.get(k))
+    changed = _changed(digests, cli=False)
     assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
+# A small seeded world, and one small seeded run of every other CLI output on
+# it: (label, argv). Each plan run writes record.csv, tree.json and path.json
+# into out/<label>, and --dump-amplitudes the amplified first database.
+CLI_WORLD = ["--seed", "9005", "--bounds", "0", "0", "10", "10", "--obstacles", "8", "--size-range", "0.5", "1.5"]
+CLI_WORLD += ["--delta", "0.6", "--x0", "1.5", "1.5", "--xg", "8.5", "8.5"]
+CLI_PLAN = ["--seed", "9006", "--n", "5", "--p", "3", "--max-steps", "400"]
+CLI_RUNS = (
+    ("plan-rrt", ["--algo", "rrt"]),
+    ("plan-qrrt", ["--algo", "qrrt", "--dump-amplitudes"]),
+    ("plan-qda", ["--algo", "qda", "--dump-amplitudes"]),
+    ("plan-prrt", ["--algo", "prrt"]),
+    ("plan-pqrrt-shared", ["--algo", "pqrrt-shared", "--dump-amplitudes"]),
+    ("plan-pqrrt-shared-amp", ["--algo", "pqrrt-shared", "--shared-amplification"]),
+    ("plan-pqrrt-unshared", ["--algo", "pqrrt-unshared"]),
+)
+CLI_ANALYZE = ["--seed", "9007", "--trials", "2000", "--cover-episodes", "300"]
+
+
+def _cli_digests(tmp_path: Path, capsys) -> dict:
+    """Digests of every CLI output of the small runs above, stdout included."""
+    digests = {}
+
+    def run(key, argv):
+        capsys.readouterr()
+        assert main(argv) == 0, key
+        digests[f"cli/{key}/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    world = tmp_path / "world.json"
+    assert main(["gen-env", "--out", str(world), *CLI_WORLD]) == 0
+    digests["cli/world.json"] = _artifact_digest(world)
+    for label, argv in CLI_RUNS:
+        out = tmp_path / label
+        if argv[-1] == "--dump-amplitudes":
+            argv = [*argv, str(out / "amplitudes.csv")]
+        run(label, ["plan", "--env", str(world), "--out", str(out), *CLI_PLAN, *argv])
+        digests.update({f"cli/{label}/{p.name}": _artifact_digest(p) for p in out.iterdir()})
+    analysis = tmp_path / "analyze.csv"
+    assert main(["analyze", "--out", str(analysis), *CLI_ANALYZE]) == 0
+    digests["cli/analyze.csv"] = _artifact_digest(analysis)
+    for name, _, overrides, seed_base in SMALL_RECIPES:
+        flags = [arg for key, value in overrides.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+        run(f"bench-{name}", ["bench", name, "--seed-base", str(seed_base), "--out", str(tmp_path / name), *flags])
+    return digests
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, capsys):
+    changed = _changed(_cli_digests(tmp_path, capsys), cli=True)
+    assert not changed, f"CLI outputs differ from the golden digests: {changed}"
 
 
 def test_criterion_11_bench_recipes_are_deterministic(tmp_path):
