@@ -15,6 +15,10 @@ write into the directory --out, analyze and gen-env write the file --out,
 and --dump-amplitudes names a file. A path that cannot be written is a
 runtime failure (exit 2).
 
+bench runs one row of BENCH_RECIPES (runner, defaults, override minima,
+summary lines); an override a recipe does not read, or one below its
+minimum, exits 1 before the recipe starts.
+
 All outputs are plain CSV/JSON/PGM files written deterministically; the
 wall-clock column of record CSVs is the only non-reproducible field.
 """
@@ -29,6 +33,7 @@ import sys as _sys
 import traceback
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,12 +60,9 @@ def _parse_mode(text) -> object:
     if text == "optimal":
         return "optimal"
     try:
-        k = int(text)
+        return int(text)
     except (TypeError, ValueError):
         raise ConfigError(f"--iterations must be 'optimal' or a non-negative integer, got {text!r}")
-    if k < 0:
-        raise ConfigError(f"fixed iteration count must be >= 0, got {k}")
-    return k
 
 
 def _parse_schedule(text: str) -> planner.TemperatureSchedule:
@@ -224,29 +226,11 @@ def _dump_first_step_amplitudes(args, environment, system, algo: metrics.Algorit
     if not spec.amplified or spec.pool_mode == "unshared":
         raise ConfigError(f"--dump-amplitudes is not available for algo {args.algo!r}")
     rng = np.random.default_rng(args.seed)
-    tree = planner.Tree(environment.x0)
-    if algo.schedule is not None:
-        db = planner.build_database_annealed(environment, tree, algo.n, algo.schedule, rng)
-    else:
-        db = planner.build_database(environment, tree, algo.n, rng)
-    db = planner.tag_database(environment, system, db)
-    k = planner.resolve_iterations(algo.mode, algo.n, db.m)
-    state = qsim.amplify(qsim.init_uniform(algo.n, db.good_mask), k)
-    lines = ["index,x,y,parent_index,good,amplitude"]
-    for i in range(2**algo.n):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    repr(float(db.points[i, 0])),
-                    repr(float(db.points[i, 1])),
-                    str(int(db.parent_index[i])),
-                    str(int(db.good_mask[i])),
-                    repr(float(state.amplitudes[i])),
-                ]
-            )
-        )
-    _write_lines(args.dump_amplitudes, lines)
+    db = planner._step_database(environment, system, planner.Tree(environment.x0), algo.n, rng, algo.schedule)
+    state, _ = planner._amplified(db, algo.mode)
+    rows = zip(db.points.tolist(), db.parent_index.tolist(), db.good_mask.tolist(), state.amplitudes.tolist())
+    lines = [f"{i},{x!r},{y!r},{parent},{int(good)},{amp!r}" for i, ((x, y), parent, good, amp) in enumerate(rows)]
+    _write_lines(args.dump_amplitudes, ["index,x,y,parent_index,good,amplitude", *lines])
 
 
 def _cmd_plan(args) -> int:
@@ -273,16 +257,12 @@ def _cmd_plan(args) -> int:
         "parents": tree.parents,
         "goal_index": tree.goal_index,
     }
-    with open(os.path.join(args.out, "tree.json"), "w") as fh:
-        json.dump(tree_payload, fh)
-        fh.write("\n")
     path_payload = {
         "indices": planner.extract_path_indices(tree) if tree.goal_index is not None else [],
         "points": [[float(x), float(y)] for x, y in result.path],
     }
-    with open(os.path.join(args.out, "path.json"), "w") as fh:
-        json.dump(path_payload, fh)
-        fh.write("\n")
+    _write_lines(os.path.join(args.out, "tree.json"), [json.dumps(tree_payload)])
+    _write_lines(os.path.join(args.out, "path.json"), [json.dumps(path_payload)])
     metrics.write_records_csv([result.record], os.path.join(args.out, "record.csv"))
     rec = result.record
     print(
@@ -393,14 +373,12 @@ def _family_z(sigma_tolerance: float, tests: int) -> float:
 
 
 def _cmd_analyze(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.trials > _MAX_TRIALS:
-        raise ConfigError(f"--trials must be <= {_MAX_TRIALS}, got {args.trials}")
-    if args.cover_episodes < 1:
-        raise ConfigError(f"--cover-episodes must be >= 1, got {args.cover_episodes}")
-    if args.cover_episodes > _MAX_COVER_EPISODES:
-        raise ConfigError(f"--cover-episodes must be <= {_MAX_COVER_EPISODES}, got {args.cover_episodes}")
+    caps = (("--trials", args.trials, _MAX_TRIALS), ("--cover-episodes", args.cover_episodes, _MAX_COVER_EPISODES))
+    for flag, value, cap in caps:
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if value > cap:
+            raise ConfigError(f"{flag} must be <= {cap}, got {value}")
     if not (0.0 < args.sigma_tolerance <= _MAX_SIGMA_TOLERANCE):
         raise ConfigError(
             f"--sigma-tolerance must be in (0, {_MAX_SIGMA_TOLERANCE}], got {args.sigma_tolerance}"
@@ -512,11 +490,28 @@ ANNEALING_DEFAULTS = dict(
 )
 
 
-def _bench_setup(out_dir, defaults: dict, overrides: dict) -> tuple[dict, dynamics.LinearSystem]:
+def _bench_setup(name: str, out_dir, overrides: dict) -> tuple[dict, dynamics.LinearSystem]:
     """A recipe's parameters (its defaults, then the overrides) and the default
-    system, with the output directory created."""
+    system, with the output directory created.
+
+    Overrides the recipe does not read or cannot run are refused first. n
+    takes the bound on the database exponent, since every recipe runs an
+    amplified planner.
+    """
+    recipe = BENCH_RECIPES[name]
+    for key, value in overrides.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "n":
+            try:
+                qsim._check_n(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+        elif key not in recipe.minima:
+            raise ConfigError(f"{flag} does not apply to bench {name}")
+        elif value < recipe.minima[key]:
+            raise ConfigError(f"{flag} must be >= {recipe.minima[key]}, got {value}")
     os.makedirs(out_dir, exist_ok=True)
-    return {**defaults, **overrides}, dynamics.default_system()
+    return {**recipe.defaults, **overrides}, dynamics.default_system()
 
 
 def _cutoff_runs(params, environment, system, seed_base: int) -> dict:
@@ -524,9 +519,9 @@ def _cutoff_runs(params, environment, system, seed_base: int) -> dict:
     counted calls, trial t seeded seed_base + 1000 + t."""
     return {
         name: [
-            metrics.cutoff_run(
-                metrics.AlgorithmConfig(name=name, n=params["n"]), environment, system, params["cutoff"], seed
-            )
+            metrics.run_trial(
+                metrics.AlgorithmConfig(name=name, n=params["n"]), environment, system, seed, cutoff=params["cutoff"]
+            ).record
             for seed in range(seed_base + 1000, seed_base + 1000 + params["trials"])
         ]
         for name in ("rrt", "qrrt")
@@ -540,7 +535,7 @@ def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
     target; per-admission (nodes, running-call-total) points are pooled per
     algorithm and fitted with ordinary least squares.
     """
-    params, system = _bench_setup(out_dir, SLOPES_DEFAULTS, overrides)
+    params, system = _bench_setup("slopes", out_dir, overrides)
     spec = _env_spec(params)
     algo_names = ("rrt", "qrrt", "pqrrt-shared", "prrt")
     points = {name: [] for name in algo_names}
@@ -572,7 +567,7 @@ def bench_slopes(out_dir, seed_base: int, **overrides) -> dict:
 
 def bench_heatmap(out_dir, seed_base: int, **overrides) -> dict:
     """Node-placement heatmaps and oracle efficiency for rrt vs qrrt at a cutoff."""
-    params, system = _bench_setup(out_dir, HEATMAP_DEFAULTS, overrides)
+    params, system = _bench_setup("heatmap", out_dir, overrides)
     environment = envmod.generate_random_env(_env_spec(params), seed_base)
     spec = metrics.HeatmapSpec(bounds=tuple(environment.bounds), nx=params["grid"], ny=params["grid"])
     summary_lines = ["algorithm,trials,nodes,calls_total,efficiency"]
@@ -592,7 +587,7 @@ def bench_heatmap(out_dir, seed_base: int, **overrides) -> dict:
 
 def bench_corridor(out_dir, seed_base: int, **overrides) -> dict:
     """Corridor-entry node counts for rrt vs qrrt under a tight call cutoff."""
-    params, system = _bench_setup(out_dir, CORRIDOR_DEFAULTS, overrides)
+    params, system = _bench_setup("corridor", out_dir, overrides)
     spec = _env_spec(params)
     environment = envmod.generate_random_env(spec, seed_base)
     region = envmod.corridor_region(spec)
@@ -614,7 +609,7 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
     targets; the annealed variant draws its targets from the temperature
     schedule's radius band.
     """
-    params, system = _bench_setup(out_dir, ANNEALING_DEFAULTS, overrides)
+    params, system = _bench_setup("annealing", out_dir, overrides)
     environment = envmod.generate_random_env(_env_spec(params), seed_base)
     lines = ["algorithm,seed,nodes,mean_edge,min_edge,max_edge"]
     out = {"env": environment, "qda": [], "qrrt": []}
@@ -651,37 +646,58 @@ def bench_annealing(out_dir, seed_base: int, **overrides) -> dict:
     return out
 
 
-# The integer overrides `qrrt bench` takes, each as a --flag.
-_BENCH_OVERRIDES = ("trials", "cutoff", "envs", "target_nodes", "trees", "n")
+class BenchRecipe(NamedTuple):
+    """One row of the bench-recipe table."""
+
+    run: Callable[..., dict]  # bench_*(out_dir, seed_base, **overrides)
+    defaults: dict  # the recipe's parameters
+    minima: dict  # each override the recipe reads, besides n, with the smallest value it can run
+    summary: Callable[[dict], list[str]]  # the stdout lines of a run's result
+
+
+# The one table of `qrrt bench` recipes; the subcommand, its flags and
+# _bench_setup read it.
+BENCH_RECIPES = {
+    "slopes": BenchRecipe(
+        bench_slopes,
+        SLOPES_DEFAULTS,
+        {"envs": 1, "target_nodes": 2},  # the slope fit needs two node counts
+        lambda r: [f"{name}: slope {slope:.3f} calls/node" for name, slope in r["slopes"].items()],
+    ),
+    "heatmap": BenchRecipe(
+        bench_heatmap,
+        HEATMAP_DEFAULTS,
+        {"trials": 1, "cutoff": 1},
+        lambda r: [
+            f"{name}: {r[name]['nodes']} nodes, {r[name]['calls']} calls, efficiency {r[name]['efficiency']:.3f}"
+            for name in ("rrt", "qrrt")
+        ],
+    ),
+    "corridor": BenchRecipe(
+        bench_corridor,
+        CORRIDOR_DEFAULTS,
+        {"trials": 1, "cutoff": 1},
+        lambda r: [f"{k}: {r[k]['corridor_nodes']} corridor nodes of {r[k]['total_nodes']}" for k in ("rrt", "qrrt")],
+    ),
+    "annealing": BenchRecipe(
+        bench_annealing,
+        ANNEALING_DEFAULTS,
+        {"trees": 1, "target_nodes": 0},
+        lambda r: [
+            f"{name}: mean edge lengths {[round(run['mean_edge'], 3) for run in r[name]]}" for name in ("qda", "qrrt")
+        ],
+    ),
+}
+
+# The integer overrides `qrrt bench` takes, each as a --flag: every recipe's
+# own, and n.
+_BENCH_OVERRIDES = (*dict.fromkeys(key for recipe in BENCH_RECIPES.values() for key in recipe.minima), "n")
 
 
 def _cmd_bench(args) -> int:
-    recipe = args.recipe
+    recipe = BENCH_RECIPES[args.recipe]
     overrides = {key: getattr(args, key) for key in _BENCH_OVERRIDES if getattr(args, key) is not None}
-    try:
-        metrics.check_bench_overrides(recipe, overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if recipe == "slopes":
-        result = bench_slopes(args.out, args.seed_base, **overrides)
-        for name, slope in result["slopes"].items():
-            print(f"{name}: slope {slope:.3f} calls/node")
-    elif recipe == "heatmap":
-        result = bench_heatmap(args.out, args.seed_base, **overrides)
-        for name in ("rrt", "qrrt"):
-            print(
-                f"{name}: {result[name]['nodes']} nodes, {result[name]['calls']} calls, "
-                f"efficiency {result[name]['efficiency']:.3f}"
-            )
-    elif recipe == "corridor":
-        result = bench_corridor(args.out, args.seed_base, **overrides)
-        for name in ("rrt", "qrrt"):
-            print(f"{name}: {result[name]['corridor_nodes']} corridor nodes of {result[name]['total_nodes']}")
-    else:
-        result = bench_annealing(args.out, args.seed_base, **overrides)
-        for name in ("qda", "qrrt"):
-            means = [run["mean_edge"] for run in result[name]]
-            print(f"{name}: mean edge lengths {[round(v, 3) for v in means]}")
+    print("\n".join(recipe.summary(recipe.run(args.out, args.seed_base, **overrides))))
     return 0
 
 
@@ -745,7 +761,7 @@ def _build_parser() -> _Parser:
     a.set_defaults(func=_cmd_analyze)
 
     b = sub.add_parser("bench", help="seeded benchmark recipes")
-    b.add_argument("recipe", choices=("slopes", "heatmap", "corridor", "annealing"))
+    b.add_argument("recipe", choices=tuple(BENCH_RECIPES))
     b.add_argument("--seed-base", type=int, required=True)
     b.add_argument("--out", required=True)
     for key in _BENCH_OVERRIDES:
@@ -821,10 +837,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_seeds(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except dynamics.UnstableGainError as exc:
+    except (ConfigError, dynamics.UnstableGainError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

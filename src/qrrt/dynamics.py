@@ -42,7 +42,6 @@ from .env import Environment, points_free, segments_free
 __all__ = [
     "LinearSystem",
     "UnstableGainError",
-    "closed_loop_step",
     "reachable",
     "reachable_batch",
     "spectral_radius",
@@ -145,11 +144,6 @@ class LinearSystem:
         object.__setattr__(self, "a_cl", a_cl)
         for arr in (a, b, k, a_cl):
             arr.setflags(write=False)
-
-
-def closed_loop_step(sys: LinearSystem, e) -> np.ndarray:
-    """One step of the error recursion: (A - B K) e."""
-    return sys.a_cl @ np.asarray(e, dtype=float).reshape(2)
 
 
 def _capture_radius(env: Environment, sys: LinearSystem) -> float:

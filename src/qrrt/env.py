@@ -70,7 +70,6 @@ __all__ = [
     "points_free",
     "segment_free",
     "segments_free",
-    "sample_uniform",
     "sample_uniform_batch",
     "generate_random_env",
     "corridor_region",
@@ -393,10 +392,6 @@ def sample_uniform_batch(env: Environment, rng: np.random.Generator, count: int)
     """count points uniform over the bounds rectangle (free or not)."""
     b = env.bounds
     return rng.uniform((b[0], b[1]), (b[2], b[3]), size=(count, 2))
-
-
-def sample_uniform(env: Environment, rng: np.random.Generator) -> np.ndarray:
-    return sample_uniform_batch(env, rng, 1)[0]
 
 
 @dataclass(frozen=True)

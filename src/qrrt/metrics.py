@@ -1,5 +1,9 @@
 """Trial instrumentation: records, heatmaps, calls-per-node fits, exports.
 
+run_trial runs one seeded trial of any algorithm in ALGORITHM_TABLE; its
+docstring says how far an amplified step may overshoot a cutoff. The bench
+recipes are CLI facts and live in cli.BENCH_RECIPES.
+
 All exports are deterministic byte-for-byte for fixed inputs (floats are
 written with repr round-tripping); the wall-clock column of a record CSV is
 the single exception and comparisons must exclude it.
@@ -7,7 +11,6 @@ the single exception and comparisons must exclude it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,17 +26,14 @@ from .records import TrialRecord
 __all__ = [
     "TrialRecord",
     "AlgorithmConfig",
-    "check_bench_overrides",
     "Heatmap",
     "HeatmapSpec",
     "accumulate_heatmap",
-    "cutoff_run",
     "run_trial",
     "count_in_region",
     "oracle_efficiency",
     "slope_fit",
     "edge_lengths",
-    "mean_edge_length",
     "RECORD_CSV_COLUMNS",
     "records_to_csv_lines",
     "write_records_csv",
@@ -60,13 +60,18 @@ ALGORITHM_TABLE = {
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
+# Largest fixed iteration count: qsim.amplify runs k scalar steps, and the
+# optimal k at n = 20 is at most floor((pi / 4) 2^10) = 804.
+MAX_FIXED_ITERATIONS = 10**6
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Everything needed to run one planner variant on an environment.
 
-    mode is "optimal" or a fixed iteration count; schedule is required for
-    qda; pool is required for the pooled variants, in the table's mode.
+    mode is "optimal" or a fixed iteration count in [0, MAX_FIXED_ITERATIONS];
+    schedule is required for qda; pool is required for the pooled variants,
+    in the table's mode.
     """
 
     name: str
@@ -79,6 +84,13 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.name not in ALGORITHM_TABLE:
             raise ValueError(f"unknown algorithm {self.name!r}, expected one of {ALGORITHMS}")
+        if self.mode != "optimal":
+            if not isinstance(self.mode, (int, np.integer)):
+                raise ValueError(f"mode must be 'optimal' or a fixed iteration count, got {self.mode!r}")
+            if self.mode < 0:
+                raise ValueError(f"fixed iteration count must be >= 0, got {self.mode}")
+            if self.mode > MAX_FIXED_ITERATIONS:
+                raise ValueError(f"fixed iteration count must be <= {MAX_FIXED_ITERATIONS}, got {self.mode}")
         spec = ALGORITHM_TABLE[self.name]
         if spec.amplified:
             qsim._check_n(self.n)
@@ -91,32 +103,6 @@ class AlgorithmConfig:
             raise ValueError(f"{self.name} needs a worker pool in mode {spec.pool_mode!r}, got {got}")
 
 
-# The overrides each `qrrt bench` recipe reads, with the smallest value it can run.
-_BENCH_OVERRIDE_MINIMA = {
-    "slopes": {"envs": 1, "target_nodes": 2},  # the slope fit needs two node counts
-    "heatmap": {"trials": 1, "cutoff": 1},
-    "corridor": {"trials": 1, "cutoff": 1},
-    "annealing": {"trees": 1, "target_nodes": 0},
-}
-
-
-def check_bench_overrides(recipe: str, overrides: dict) -> None:
-    """Reject ``qrrt bench`` overrides the recipe does not read or cannot run, before it starts.
-
-    n takes the bound on the database exponent, since every recipe runs an
-    amplified planner.
-    """
-    minima = _BENCH_OVERRIDE_MINIMA[recipe]
-    for key, value in overrides.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "n":
-            qsim._check_n(value)
-        elif key not in minima:
-            raise ValueError(f"{flag} does not apply to bench {recipe}")
-        elif value < minima[key]:
-            raise ValueError(f"{flag} must be >= {minima[key]}, got {value}")
-
-
 def run_trial(
     algo: AlgorithmConfig,
     env: Environment,
@@ -126,7 +112,14 @@ def run_trial(
     cutoff: int | None = None,
     target_nodes: int | None = None,
 ) -> _planner.PlanResult:
-    """One seeded planning trial of the configured algorithm."""
+    """One seeded planning trial of the configured algorithm.
+
+    cutoff bounds the cutoff-counted calls (amplification and classical; the
+    finalizer is excluded): the trial stops before any step that starts at
+    or past it. Single-call classical steps exhaust it exactly; a multi-call
+    amplified step may overshoot by its own cost, which is inherent to
+    stepwise accounting and accepted.
+    """
     planner = ALGORITHM_TABLE[algo.name].planner
     if planner == "pool":
         return _parallel.run_parallel_plan(env, sys, algo, seed, target_nodes=target_nodes, cutoff=cutoff)
@@ -148,25 +141,6 @@ def run_trial(
         algorithm=algo.name,
         seed=seed,
     )
-
-
-def cutoff_run(
-    algo: AlgorithmConfig,
-    env: Environment,
-    sys: LinearSystem,
-    oracle_call_cutoff: int,
-    seed: int,
-) -> TrialRecord:
-    """Run until goal capture or the cutoff-counted budget is exhausted.
-
-    The budget counts amplification + classical calls (finalizer excluded).
-    Single-call classical steps exhaust it exactly; a multi-call amplified
-    step may overshoot by its own cost, which is inherent to stepwise
-    accounting and accepted.
-    """
-    if oracle_call_cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {oracle_call_cutoff}")
-    return run_trial(algo, env, sys, seed, cutoff=oracle_call_cutoff).record
 
 
 @dataclass(frozen=True)
@@ -263,47 +237,29 @@ def edge_lengths(tree: _planner.Tree) -> np.ndarray:
     return np.hypot(diffs[:, 0], diffs[:, 1])
 
 
-def mean_edge_length(tree: _planner.Tree) -> float:
-    """Mean parent-to-node distance over all non-root nodes."""
-    if len(tree) < 2:
-        raise ValueError("tree has no edges")
-    return float(np.mean(edge_lengths(tree)))
-
-
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
 
-RECORD_CSV_COLUMNS = (
-    "algorithm",
-    "seed",
-    "calls_amp",
-    "calls_final",
-    "calls_classical",
-    "nodes",
-    "duplicates",
-    "wall_s",
-)
+# Record CSV column -> the TrialRecord field it holds, in column order.
+_RECORD_CSV_FIELDS = {
+    "algorithm": "algorithm",
+    "seed": "seed",
+    "calls_amp": "calls_amplification",
+    "calls_final": "calls_finalizer",
+    "calls_classical": "calls_classical",
+    "nodes": "nodes_admitted",
+    "duplicates": "duplicates_discarded",
+    "wall_s": "wall_time_s",
+}
+RECORD_CSV_COLUMNS = tuple(_RECORD_CSV_FIELDS)
 
 
 def records_to_csv_lines(records: list[TrialRecord]) -> list[str]:
-    lines = [",".join(RECORD_CSV_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec.algorithm,
-                    repr(rec.seed),
-                    repr(rec.calls_amplification),
-                    repr(rec.calls_finalizer),
-                    repr(rec.calls_classical),
-                    repr(rec.nodes_admitted),
-                    repr(rec.duplicates_discarded),
-                    repr(rec.wall_time_s),
-                ]
-            )
-        )
-    return lines
+    """The header, then a row a record: the algorithm label as is, every other field's repr."""
+    fields = tuple(_RECORD_CSV_FIELDS.values())[1:]
+    rows = [",".join([rec.algorithm, *(repr(getattr(rec, field)) for field in fields)]) for rec in records]
+    return [",".join(RECORD_CSV_COLUMNS), *rows]
 
 
 def write_records_csv(records: list[TrialRecord], path) -> None:
@@ -330,13 +286,3 @@ def write_heatmap_pgm(heatmap: Heatmap, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(gray.tobytes())
-
-
-def wilson_hilferty_chi2_quantile(dof: int, z: float) -> float:
-    """Approximate upper chi-square quantile via the Wilson-Hilferty cube.
-
-    Used by tests as an independent acceptance threshold for goodness-of-fit
-    statistics; z is the standard-normal quantile (z = 3.09 ~ 99.9%).
-    """
-    h = 2.0 / (9.0 * dof)
-    return dof * (1.0 - h + z * math.sqrt(h)) ** 3

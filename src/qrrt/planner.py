@@ -3,7 +3,10 @@
 One q-RRT step builds a database of 2^n (target, nearest-parent) pairs,
 tags each pair with the reachability oracle, amplifies the tagged subset,
 measures one index, which is charged one finalizer call and reads the tag's
-verdict, and admits the surviving node. Classical RRT is the one-sample
+verdict, and admits the surviving node. _step_database (build, plain or
+annealed, then tag) and _amplified (resolve k, amplify the uniform state)
+are that sequence's two halves, shared by qrrt_step, the worker kernel
+below and the CLI's amplitude dump. Classical RRT is the one-sample
 special case: _classical_attempts (draw, connect to the nearest node,
 verify, one classical call an attempt) is the one classical kernel, run
 with budget 1 by rrt_step and with per_worker_budget by each prrt worker.
@@ -103,9 +106,6 @@ class Tree:
     @property
     def coords(self) -> np.ndarray:
         return self._coords[: self._size]
-
-    def node(self, index: int) -> np.ndarray:
-        return self._coords[index].copy()
 
     def has_point(self, point) -> bool:
         point = np.asarray(point, dtype=float).reshape(2)
@@ -295,14 +295,9 @@ def resolve_iterations(mode, n: int, m: int) -> int:
     """Amplification iteration count for a tagged database.
 
     mode is either the string "optimal" (closed-form optimum for the exact
-    m) or a fixed non-negative integer.
+    m) or a fixed count, which metrics.AlgorithmConfig bounds.
     """
-    if mode == "optimal":
-        return qsim.optimal_iterations(n, m)
-    k = int(mode)
-    if k < 0:
-        raise ValueError(f"fixed iteration count must be >= 0, got {mode}")
-    return k
+    return qsim.optimal_iterations(n, m) if mode == "optimal" else int(mode)
 
 
 def _admit_candidate(
@@ -332,6 +327,30 @@ def _admit_candidate(
     return StepResult(ADDED, idx)
 
 
+def _step_database(
+    env: Environment,
+    sys: LinearSystem,
+    tree: Tree,
+    n: int,
+    rng: np.random.Generator,
+    schedule: TemperatureSchedule | None = None,
+) -> Database:
+    """One amplified step's tagged database; with a schedule, targets are ring-constrained."""
+    if schedule is None:
+        db = build_database(env, tree, n, rng)
+    else:
+        db = build_database_annealed(env, tree, n, schedule, rng)
+    return tag_database(env, sys, db)
+
+
+def _amplified(db: Database, mode) -> tuple[qsim.AmplifiedState, int]:
+    """A tagged database's uniform state after k iterations, with k resolved from mode."""
+    if db.m is None:
+        raise ValueError("database must be tagged before amplification")
+    k = resolve_iterations(mode, db.n, db.m)
+    return qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k), k
+
+
 def _measure_and_finalize(
     db: Database,
     mode,
@@ -349,11 +368,8 @@ def _measure_and_finalize(
     row is charged one finalizer call, and its verdict is the tag's:
     tag_database ran the same deterministic oracle on the same row.
     """
-    if db.m is None:
-        raise ValueError("database must be tagged before amplification")
+    state, k = _amplified(db, mode)
     record.per_step_m.append(db.m)
-    k = resolve_iterations(mode, db.n, db.m)
-    state = qsim.amplify(qsim.init_uniform(db.n, db.good_mask), k)
     record.calls_amplification += k * charged_workers
     indices = np.array([qsim.measure(state, rng) for rng in rngs], dtype=np.intp)
     record.calls_finalizer += len(indices)
@@ -387,11 +403,7 @@ def qrrt_step(
     schedule: TemperatureSchedule | None = None,
 ) -> StepResult:
     """One amplified planning step; with a schedule, targets are ring-constrained."""
-    if schedule is None:
-        db = build_database(env, tree, n, rng)
-    else:
-        db = build_database_annealed(env, tree, n, schedule, rng)
-    db = tag_database(env, sys, db)
+    db = _step_database(env, sys, tree, n, rng, schedule)
     return _qaa_admit_step(env, sys, tree, db, mode, rng, record)
 
 

@@ -9,13 +9,11 @@ N - m bads). p workers measure independently. The closed forms:
 * all workers return pairwise-distinct goods:  pG^p * m! / (m^p (m-p)!)
 * expected workers until every good has been
   returned at least once (coupon collection):  m * H_m / pG
-  where H_m is the m-th harmonic number; dividing by a pool size p2 gives
-  the expected number of pool passes.
+  where H_m is the m-th harmonic number.
 
 Noisy-oracle variant: the tagging oracle mislabels entries, so only m1 of
 the m tagged-good entries are true solutions while m2 of the untagged
-entries are missed solutions. With q = (m - m1)/m the fraction of false
-positives and v = m2/(N - m) the fraction of false negatives:
+entries are missed solutions:
 
 * one measurement is a true solution:    (m1/m) pG + (m2/(N-m)) (1 - pG)
 * all p workers return the same true
@@ -68,7 +66,6 @@ __all__ = [
     "prob_all_same",
     "prob_all_different",
     "expected_workers_all_solutions",
-    "expected_passes",
     "prob_true_good",
     "prob_all_same_noisy",
     "expected_workers_noisy",
@@ -89,8 +86,7 @@ class ParallelSearchModel:
         _check_counts(self.n, self.m)
         if not (self.p >= 1):
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if not (0.0 <= self.pG <= 1.0):
-            raise ValueError(f"pG must be in [0, 1], got {self.pG}")
+        _check_pg(self.pG)
 
 
 @dataclass(frozen=True)
@@ -110,16 +106,6 @@ class NoisyOracleModel:
             raise ValueError(f"m1 must be in [0, m={self.m}], got {self.m1}")
         if not (0 <= self.m2 <= 2**self.n - self.m):
             raise ValueError(f"m2 must be in [0, 2^n - m], got {self.m2}")
-
-    @property
-    def false_positive_fraction(self) -> float:
-        """q: fraction of tagged entries that are not true solutions, (m - m1)/m."""
-        return (self.m - self.m1) / self.m
-
-    @property
-    def false_negative_fraction(self) -> float:
-        """v: fraction of untagged entries that are missed solutions, m2/(N - m)."""
-        return self.m2 / (2**self.n - self.m)
 
 
 def harmonic(m: int) -> float:
@@ -157,13 +143,6 @@ def expected_workers_all_solutions(model: ParallelSearchModel) -> float:
     if not (model.pG > 0.0):
         raise ValueError("coverage expectation diverges for pG = 0")
     return model.m * harmonic(model.m) / model.pG
-
-
-def expected_passes(model: ParallelSearchModel, p2: int) -> float:
-    """Expected full passes of a p2-wide pool until coverage."""
-    if not (p2 >= 1):
-        raise ValueError(f"pool width p2 must be >= 1, got {p2}")
-    return expected_workers_all_solutions(model) / p2
 
 
 def prob_true_good(noisy: NoisyOracleModel, pG: float) -> float:

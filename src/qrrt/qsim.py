@@ -58,7 +58,6 @@ __all__ = [
     "optimal_iterations",
     "good_probability",
     "measure",
-    "state_good_probability",
 ]
 
 # 2^20 amplitudes is the largest database the simulator accepts; beyond that
@@ -94,7 +93,6 @@ class AmplifiedState:
     n: int
     amplitudes: np.ndarray  # float64, shape (2^n,)
     good_mask: np.ndarray  # bool, shape (2^n,)
-    iterations_applied: int = 0
     oracle_calls: int = 0
     cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -130,7 +128,6 @@ def grover_iterate(state: AmplifiedState) -> AmplifiedState:
         n=state.n,
         amplitudes=amps,
         good_mask=state.good_mask,
-        iterations_applied=state.iterations_applied + 1,
         oracle_calls=state.oracle_calls + 1,
     )
 
@@ -182,7 +179,6 @@ def amplify(state: AmplifiedState, k: int) -> AmplifiedState:
         n=state.n,
         amplitudes=out,
         good_mask=mask,
-        iterations_applied=state.iterations_applied + k,
         oracle_calls=state.oracle_calls + k,
     )
 
@@ -212,11 +208,6 @@ def good_probability(n: int, m: int, k: int) -> float:
         return 0.0
     theta = math.asin(math.sqrt(m / 2**n))
     return math.sin((2 * int(k) + 1) * theta) ** 2
-
-
-def state_good_probability(state: AmplifiedState) -> float:
-    """Born-rule probability mass currently on the good indices."""
-    return float(np.sum(state.amplitudes[state.good_mask] ** 2))
 
 
 def measure(state: AmplifiedState, rng: np.random.Generator) -> int:

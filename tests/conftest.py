@@ -1,5 +1,7 @@
 """Shared fixtures: small environments and the default closed-loop system."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,13 @@ def system():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def wilson_hilferty_chi2_quantile(dof: int, z: float) -> float:
+    """Approximate upper chi-square quantile via the Wilson-Hilferty cube.
+
+    An independent acceptance threshold for goodness-of-fit statistics; z
+    is the standard-normal quantile (z = 3.09 ~ 99.9%).
+    """
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3

@@ -282,6 +282,29 @@ def test_plan_rejects_negative_budgets(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("1000000000000", "fixed iteration count must be <= 1000000, got 1000000000000"),
+        ("1000001", "fixed iteration count must be <= 1000000, got 1000001"),
+        ("-1", "fixed iteration count must be >= 0, got -1"),
+        ("fast", "--iterations must be 'optimal' or a non-negative integer, got 'fast'"),
+    ],
+)
+def test_plan_rejects_iteration_counts_out_of_range(tmp_path, capsys, value, message):
+    env_path = gen_env(tmp_path)
+    out = tmp_path / "out"
+    assert main(plan_args(env_path, out, "qrrt", "--n", "4", "--max-steps", "1", "--iterations", value)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plan_accepts_the_largest_benchmarked_iteration_count(tmp_path):
+    env_path = gen_env(tmp_path)
+    assert main(plan_args(env_path, tmp_path / "out", "qrrt", "--n", "8", "--max-steps", "1", "--iterations", "402")) == 0
+
+
 def test_plan_zero_target_nodes_stays_valid(tmp_path):
     env_path = gen_env(tmp_path)
     out = tmp_path / "out"
@@ -889,6 +912,15 @@ def test_bench_rejects_out_of_range_overrides(tmp_path, capsys, recipe, flag, va
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,overrides", [("corridor", {"cutoff": 0}), ("slopes", {"trials": 3}), ("annealing", {"n": 21})])
+def test_bench_recipe_functions_check_their_overrides(tmp_path, name, overrides):
+    # A direct call gets the bench subcommand's override check, before any output.
+    out = tmp_path / name
+    with pytest.raises(ValueError):
+        getattr(cli, f"bench_{name}")(str(out), 1, **overrides)
     assert not out.exists()
 
 

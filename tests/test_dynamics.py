@@ -14,7 +14,7 @@ from qrrt.dynamics import (
     UNSTABLE_EXAMPLE_GAIN,
     LinearSystem,
     UnstableGainError,
-    closed_loop_step,
+    _advance,
     default_system,
     load_system,
     reachable,
@@ -98,8 +98,12 @@ def test_matrices_must_be_2x2():
 
 
 # ---------------------------------------------------------------------------
-# closed_loop_step
+# One step of the error recursion
 # ---------------------------------------------------------------------------
+
+
+def closed_loop_step(sys, e):
+    return _advance(np.asarray(e, dtype=float).reshape(1, 2), sys.a_cl)[0]
 
 
 def test_origin_is_fixed_point(system):

@@ -18,7 +18,6 @@ from qrrt.env import (
     load_environment,
     point_free,
     points_free,
-    sample_uniform,
     sample_uniform_batch,
     save_environment,
     segment_free,
@@ -468,8 +467,8 @@ def test_grid_holds_little_beyond_the_obstacles():
 def test_sample_uniform_deterministic(free_env):
     r1 = np.random.default_rng(7)
     r2 = np.random.default_rng(7)
-    seq1 = [sample_uniform(free_env, r1) for _ in range(20)]
-    seq2 = [sample_uniform(free_env, r2) for _ in range(20)]
+    seq1 = [sample_uniform_batch(free_env, r1, 1)[0] for _ in range(20)]
+    seq2 = [sample_uniform_batch(free_env, r2, 1)[0] for _ in range(20)]
     assert np.array_equal(np.array(seq1), np.array(seq2))
 
 

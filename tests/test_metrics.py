@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import wilson_hilferty_chi2_quantile
 
 from qrrt.env import Environment
 from qrrt.metrics import (
@@ -12,14 +13,11 @@ from qrrt.metrics import (
     RECORD_CSV_COLUMNS,
     accumulate_heatmap,
     count_in_region,
-    cutoff_run,
     edge_lengths,
-    mean_edge_length,
     oracle_efficiency,
     records_to_csv_lines,
     run_trial,
     slope_fit,
-    wilson_hilferty_chi2_quantile,
     write_heatmap_csv,
     write_heatmap_pgm,
     write_records_csv,
@@ -90,6 +88,19 @@ def test_algorithm_config_bounds_amplified_exponent(n):
     AlgorithmConfig(name="prrt", n=n, pool=WorkerPool(p=2, mode="classical", seed_base=1))
 
 
+def test_algorithm_config_bounds_a_fixed_iteration_count():
+    # qsim.amplify runs k scalar steps, so an unbounded k would run for days.
+    with pytest.raises(ValueError, match="fixed iteration count must be <= 1000000"):
+        AlgorithmConfig(name="qrrt", mode=10**12)
+    with pytest.raises(ValueError, match="fixed iteration count must be >= 0"):
+        AlgorithmConfig(name="qrrt", mode=-1)
+    with pytest.raises(ValueError, match="'optimal' or a fixed iteration count"):
+        AlgorithmConfig(name="qrrt", mode="fastest")
+    # The largest pooled-search k, the optimal k at n = 20 and the cap itself.
+    for k in (0, 402, 804, 10**6, np.int64(3)):
+        assert AlgorithmConfig(name="qrrt", n=20, mode=k).mode == k
+
+
 def test_algorithm_config_needs_a_step():
     with pytest.raises(ValueError, match="max_steps"):
         AlgorithmConfig(name="rrt", max_steps=0)
@@ -128,13 +139,8 @@ def test_run_trial_deterministic_per_seed(box_env, system):
 # ---------------------------------------------------------------------------
 
 
-def test_cutoff_run_validates_budget(free_env, system):
-    with pytest.raises(ValueError):
-        cutoff_run(AlgorithmConfig(name="rrt"), free_env, system, 0, seed=1)
-
-
 def test_cutoff_run_classical_exhausts_exactly(sealed_root_env, system):
-    rec = cutoff_run(AlgorithmConfig(name="rrt"), sealed_root_env, system, 12, seed=4)
+    rec = run_trial(AlgorithmConfig(name="rrt"), sealed_root_env, system, 4, cutoff=12).record
     assert rec.calls_classical == 12  # one call per step, nothing ever admitted
     assert rec.nodes_admitted == 0
     assert rec.cutoff_calls() == 12
@@ -142,8 +148,8 @@ def test_cutoff_run_classical_exhausts_exactly(sealed_root_env, system):
 
 def test_cutoff_run_prefix_monotone(box_env, system):
     cfg = AlgorithmConfig(name="qrrt", n=6)
-    small = cutoff_run(cfg, box_env, system, 10, seed=9)
-    large = cutoff_run(cfg, box_env, system, 20, seed=9)
+    small = run_trial(cfg, box_env, system, 9, cutoff=10).record
+    large = run_trial(cfg, box_env, system, 9, cutoff=20).record
     assert large.nodes_admitted >= small.nodes_admitted
     assert large.cutoff_calls() >= small.cutoff_calls()
 
@@ -325,18 +331,18 @@ def test_slope_fit_validation():
 
 
 def test_mean_edge_length():
+    # The mean the annealing recipe reports for each tree.
     tree = Tree((0.0, 0.0))
     tree.add((2.0, 0.0), 0)
-    assert mean_edge_length(tree) == pytest.approx(2.0, abs=1e-12)
+    assert np.mean(edge_lengths(tree)) == pytest.approx(2.0, abs=1e-12)
     tree.add((2.0, 3.0), 1)
-    assert mean_edge_length(tree) == pytest.approx(2.5, abs=1e-12)
+    assert np.mean(edge_lengths(tree)) == pytest.approx(2.5, abs=1e-12)
     assert edge_lengths(tree).tolist() == [2.0, 3.0]
 
 
 def test_mean_edge_length_requires_edges():
+    # A root-only tree has no edges to average; the annealing recipe writes nan.
     assert edge_lengths(Tree((0.0, 0.0))).shape == (0,)
-    with pytest.raises(ValueError):
-        mean_edge_length(Tree((0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

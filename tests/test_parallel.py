@@ -145,7 +145,7 @@ def test_shared_step_matches_independent_replay(box_env, system):
     assert summary.duplicates_discarded == dups
     assert list(summary.admitted_indices) == sorted(summary.admitted_indices)
     if tree.goal_index is None:  # a goal snap would rewrite one admitted point
-        assert [tuple(tree.node(i)) for i in summary.admitted_indices] == expected_points
+        assert [tuple(tree.coords[i]) for i in summary.admitted_indices] == expected_points
 
 
 def _quantum_steps(system):

@@ -14,7 +14,6 @@ from qrrt.prob import (
     MonteCarloStats,
     NoisyOracleModel,
     ParallelSearchModel,
-    expected_passes,
     expected_workers_all_solutions,
     expected_workers_noisy,
     harmonic,
@@ -57,12 +56,6 @@ def test_noisy_model_validation():
         NoisyOracleModel(n=4, m=4, m1=5, m2=0)
     with pytest.raises(ValueError):
         NoisyOracleModel(n=4, m=4, m1=4, m2=13)  # m2 > 2^n - m
-
-
-def test_noisy_model_derived_rates():
-    noisy = NoisyOracleModel(n=8, m=16, m1=12, m2=8)
-    assert noisy.false_positive_fraction == pytest.approx((16 - 12) / 16, abs=1e-15)
-    assert noisy.false_negative_fraction == pytest.approx(8 / 240, abs=1e-15)
 
 
 def test_harmonic_numbers():
@@ -154,13 +147,6 @@ def test_expected_workers_frozen_anchors():
 def test_expected_workers_rejects_zero_success():
     with pytest.raises(ValueError):
         expected_workers_all_solutions(model(m=2, pG=0.0))
-
-
-def test_expected_passes_divides_by_pool_width():
-    m3 = model(m=3, pG=1.0)
-    assert expected_passes(m3, 4) == pytest.approx(5.5 / 4, abs=1e-12)
-    with pytest.raises(ValueError):
-        expected_passes(m3, 0)
 
 
 # ---------------------------------------------------------------------------
