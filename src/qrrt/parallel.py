@@ -121,10 +121,10 @@ class PoolRuntime:
         )
 
 
-def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, record, before) -> StepSummary:
+def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, record, duplicates) -> StepSummary:
     """Admit (point, parent index) candidates in worker order; the round's summary.
 
-    before is (duplicates discarded, total calls) as the round started.
+    duplicates is the record's duplicate count as the round started.
     """
     admitted = []
     for point, parent_index in candidates:
@@ -133,8 +133,7 @@ def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, re
             admitted.append(step.node_index)
     return StepSummary(
         admitted_indices=tuple(admitted),
-        duplicates_discarded=record.duplicates_discarded - before[0],
-        oracle_calls=record.total_calls() - before[1],
+        duplicates_discarded=record.duplicates_discarded - duplicates,
     )
 
 
@@ -152,7 +151,7 @@ def pqrrt_manager_step(
     if runtime.pool.mode != "shared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a shared step")
     pool = runtime.pool
-    before = (record.duplicates_discarded, record.total_calls())
+    duplicates = record.duplicates_discarded
     db = tag_database(env, sys, build_database(env, tree, n, rng))
     charged = 1 if pool.shared_amplification else pool.p
     indices, verified = _measure_and_finalize(db, mode, runtime.worker_rngs, record, charged)
@@ -166,7 +165,7 @@ def pqrrt_manager_step(
             continue
         seen_indices.add(idx)
         candidates.append((db.points[idx], int(db.parent_index[idx])))
-    return _admit_round(env, sys, tree, candidates, record, before)
+    return _admit_round(env, sys, tree, candidates, record, duplicates)
 
 
 def pqrrt_unshared_step(
@@ -185,7 +184,7 @@ def pqrrt_unshared_step(
     """
     if runtime.pool.mode != "unshared":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run an unshared step")
-    before = (record.duplicates_discarded, record.total_calls())
+    duplicates = record.duplicates_discarded
     # A worker keeps only its verified measured row, not its database.
     candidates = []
     for wrng in runtime.worker_rngs:
@@ -193,7 +192,7 @@ def pqrrt_unshared_step(
         (idx,), (good,) = _measure_and_finalize(db, mode, [wrng], record)
         if good:
             candidates.append((db.points[idx].copy(), int(db.parent_index[idx])))
-    return _admit_round(env, sys, tree, candidates, record, before)
+    return _admit_round(env, sys, tree, candidates, record, duplicates)
 
 
 def prrt_manager_step(
@@ -208,11 +207,11 @@ def prrt_manager_step(
     if runtime.pool.mode != "classical":
         raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a classical step")
     pool = runtime.pool
-    before = (record.duplicates_discarded, record.total_calls())
+    duplicates = record.duplicates_discarded
     attempts = [
         _classical_attempts(env, sys, tree, wrng, pool.per_worker_budget, record) for wrng in runtime.worker_rngs
     ]
-    return _admit_round(env, sys, tree, [found for found in attempts if found is not None], record, before)
+    return _admit_round(env, sys, tree, [found for found in attempts if found is not None], record, duplicates)
 
 
 def run_parallel_plan(

@@ -74,4 +74,3 @@ class StepSummary:
 
     admitted_indices: tuple[int, ...]
     duplicates_discarded: int
-    oracle_calls: int
