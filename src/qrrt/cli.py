@@ -15,9 +15,9 @@ write into the directory --out, analyze and gen-env write the file --out,
 and --dump-amplitudes names a file. A path that cannot be written is a
 runtime failure (exit 2).
 
-bench runs one row of BENCH_RECIPES (runner, defaults, override minima,
-summary lines); an override a recipe does not read, or one below its
-minimum, exits 1 before the recipe starts.
+bench runs one seeded recipe of the table BENCH_RECIPES. An override flag
+the recipe does not read, or one below its minimum, exits 1 before the
+recipe starts.
 
 All outputs are plain CSV/JSON/PGM files written deterministically; the
 wall-clock column of record CSVs is the only non-reproducible field.

@@ -376,22 +376,6 @@ def _measure_and_finalize(
     return indices, db.good_mask[indices]
 
 
-def _qaa_admit_step(
-    env: Environment,
-    sys: LinearSystem,
-    tree: Tree,
-    db: Database,
-    mode,
-    rng: np.random.Generator,
-    record: TrialRecord,
-) -> StepResult:
-    """Amplify a tagged database, measure, finalize, admit."""
-    (idx,), (good,) = _measure_and_finalize(db, mode, [rng], record)
-    if not good:
-        return StepResult(FAILED)
-    return _admit_candidate(env, sys, tree, db.points[idx], int(db.parent_index[idx]), record)
-
-
 def qrrt_step(
     env: Environment,
     sys: LinearSystem,
@@ -402,9 +386,13 @@ def qrrt_step(
     record: TrialRecord,
     schedule: TemperatureSchedule | None = None,
 ) -> StepResult:
-    """One amplified planning step; with a schedule, targets are ring-constrained."""
+    """One amplified planning step (build, tag, amplify, measure, finalize, admit);
+    with a schedule, targets are ring-constrained."""
     db = _step_database(env, sys, tree, n, rng, schedule)
-    return _qaa_admit_step(env, sys, tree, db, mode, rng, record)
+    (idx,), (good,) = _measure_and_finalize(db, mode, [rng], record)
+    if not good:
+        return StepResult(FAILED)
+    return _admit_candidate(env, sys, tree, db.points[idx], int(db.parent_index[idx]), record)
 
 
 def _classical_attempts(

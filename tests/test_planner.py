@@ -13,7 +13,7 @@ from qrrt.planner import (
     TemperatureSchedule,
     Tree,
     _admit_candidate,
-    _qaa_admit_step,
+    _measure_and_finalize,
     advance_temperature,
     build_database,
     build_database_annealed,
@@ -494,21 +494,18 @@ def test_qrrt_step_requires_positive_exponent(free_env, system, rng):
         qrrt_step(free_env, system, Tree(free_env.x0), 0, "optimal", rng, record())
 
 
-def test_amplified_admit_with_empty_mask_fails_cleanly(box_env, system, rng):
-    pts = np.array([[5.0, 5.0], [5.2, 5.2], [4.5, 5.5], [5.5, 4.5]])
-    db = tag_database(
-        box_env,
-        system,
-        Database(
-            n=2,
-            points=pts,
-            parent_index=np.zeros(4, dtype=int),
-            parent_points=np.tile(box_env.x0, (4, 1)),
-        ),
+def test_amplified_admit_with_empty_mask_fails_cleanly(system, rng):
+    # The root sits in a closed ring of thin walls, so no sampled edge is free.
+    sealed = Environment(
+        bounds=(0, 0, 10, 10),
+        obstacles=((0.9, 0.9, 1.1, 0.95), (0.9, 0.9, 0.95, 1.1), (0.9, 1.05, 1.1, 1.1), (1.05, 0.9, 1.1, 1.1)),
+        x0=(1.0, 1.0),
+        xG=(9.0, 9.0),
+        delta=0.5,
     )
-    tree = Tree(box_env.x0)
+    tree = Tree(sealed.x0)
     rec = record()
-    result = _qaa_admit_step(box_env, system, tree, db, "optimal", rng, rec)
+    result = qrrt_step(sealed, system, tree, 2, "optimal", rng, rec)
     assert result.outcome == FAILED
     assert len(tree) == 1
     assert rec.per_step_m == [0]
@@ -520,7 +517,7 @@ def test_amplified_admit_requires_tagged_database(free_env, system, rng):
     tree = Tree(free_env.x0)
     db = build_database(free_env, tree, 4, rng)
     with pytest.raises(ValueError):
-        _qaa_admit_step(free_env, system, tree, db, "optimal", rng, record())
+        _measure_and_finalize(db, "optimal", [rng], record())
 
 
 # ---------------------------------------------------------------------------
