@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-
 from conftest import wilson_hilferty_chi2_quantile
 
 from qrrt.qsim import (
