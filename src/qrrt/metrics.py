@@ -44,19 +44,20 @@ __all__ = [
 class Algorithm(NamedTuple):
     """One row of the algorithm table."""
 
-    planner: str  # "rrt" (rrt_plan), "qrrt" (qrrt_plan) or "pool" (parallel.run_parallel_plan)
     pool_mode: str | None  # the WorkerPool mode a pooled variant runs
     amplified: bool  # builds 2^n databases, so n is bounded
 
 
-# The one table of algorithm facts; every caller reads it.
+# The one table of algorithm facts; every caller reads it. run_trial runs a
+# pooled row with parallel.run_parallel_plan, another amplified row with
+# qrrt_plan and the rest with rrt_plan.
 ALGORITHM_TABLE = {
-    "rrt": Algorithm("rrt", None, False),
-    "qrrt": Algorithm("qrrt", None, True),
-    "qda": Algorithm("qrrt", None, True),
-    "prrt": Algorithm("pool", "classical", False),
-    "pqrrt-shared": Algorithm("pool", "shared", True),
-    "pqrrt-unshared": Algorithm("pool", "unshared", True),
+    "rrt": Algorithm(None, False),
+    "qrrt": Algorithm(None, True),
+    "qda": Algorithm(None, True),
+    "prrt": Algorithm("classical", False),
+    "pqrrt-shared": Algorithm("shared", True),
+    "pqrrt-unshared": Algorithm("unshared", True),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
@@ -120,11 +121,11 @@ def run_trial(
     amplified step may overshoot by its own cost, which is inherent to
     stepwise accounting and accepted.
     """
-    planner = ALGORITHM_TABLE[algo.name].planner
-    if planner == "pool":
+    spec = ALGORITHM_TABLE[algo.name]
+    if spec.pool_mode is not None:
         return _parallel.run_parallel_plan(env, sys, algo, seed, target_nodes=target_nodes, cutoff=cutoff)
     rng = np.random.default_rng(seed)
-    if planner == "rrt":
+    if not spec.amplified:
         return _planner.rrt_plan(
             env, sys, algo.max_steps, rng, target_nodes=target_nodes, cutoff=cutoff, seed=seed
         )

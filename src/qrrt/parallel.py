@@ -7,8 +7,11 @@ worker reads is mutated until every worker has reported. In the quantum
 modes every worker runs ``planner._measure_and_finalize``: its measured row
 is charged one finalizer call and reads the tag's verdict; in the classical
 mode every worker runs ``planner._classical_attempts``. The manager then
-admits candidates in worker-id order, discarding repeats. run_parallel_plan
-drives one pool step per round through the planner's plan engine.
+admits candidates in worker-id order through ``planner._admit_round``, the
+admission loop of every planner step, so a pool step returns the same
+StepSummary as rrt_step and qrrt_step. The steps take the worker streams as
+a plain list from worker_rngs. run_parallel_plan picks the step from the
+pool's mode and drives one per round through the planner's plan engine.
 
 Pool modes:
 
@@ -24,7 +27,7 @@ Pool modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,22 +37,21 @@ from .env import Environment
 from .planner import (
     PlanResult,
     Tree,
-    _admit_candidate,
+    _admit_round,
     _classical_attempts,
     _measure_and_finalize,
     _plan,
     build_database,
     tag_database,
 )
-from .records import ADDED, StepSummary, TrialRecord
+from .records import StepSummary, TrialRecord
 
 if TYPE_CHECKING:
     from .metrics import AlgorithmConfig
 
 __all__ = [
     "WorkerPool",
-    "PoolRuntime",
-    "worker_seed_sequences",
+    "worker_rngs",
     "pqrrt_manager_step",
     "pqrrt_unshared_step",
     "prrt_manager_step",
@@ -97,44 +99,14 @@ class WorkerPool:
             raise ValueError(f"per_worker_budget must be >= 1, got {self.per_worker_budget}")
 
 
-def worker_seed_sequences(pool: WorkerPool) -> list[np.random.SeedSequence]:
+def worker_rngs(pool: WorkerPool) -> list[np.random.Generator]:
+    """One fresh stream per worker, in worker-id order: from the explicit
+    seeds, or spawned from seed_base with the worker id as spawn key."""
     if pool.seeds is not None:
-        return [np.random.SeedSequence(s) for s in pool.seeds]
-    return [
-        np.random.SeedSequence(entropy=pool.seed_base, spawn_key=(wid,))
-        for wid in range(pool.p)
-    ]
-
-
-@dataclass
-class PoolRuntime:
-    """A pool plus its live per-worker RNG streams (one planning run's state)."""
-
-    pool: WorkerPool
-    worker_rngs: list[np.random.Generator] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, pool: WorkerPool) -> "PoolRuntime":
-        return cls(
-            pool=pool,
-            worker_rngs=[np.random.default_rng(seq) for seq in worker_seed_sequences(pool)],
-        )
-
-
-def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, record, duplicates) -> StepSummary:
-    """Admit (point, parent index) candidates in worker order; the round's summary.
-
-    duplicates is the record's duplicate count as the round started.
-    """
-    admitted = []
-    for point, parent_index in candidates:
-        step = _admit_candidate(env, sys, tree, point, parent_index, record)
-        if step.outcome == ADDED:
-            admitted.append(step.node_index)
-    return StepSummary(
-        admitted_indices=tuple(admitted),
-        duplicates_discarded=record.duplicates_discarded - duplicates,
-    )
+        seqs = [np.random.SeedSequence(s) for s in pool.seeds]
+    else:
+        seqs = [np.random.SeedSequence(entropy=pool.seed_base, spawn_key=(wid,)) for wid in range(pool.p)]
+    return [np.random.default_rng(seq) for seq in seqs]
 
 
 def pqrrt_manager_step(
@@ -142,30 +114,24 @@ def pqrrt_manager_step(
     sys: LinearSystem,
     tree: Tree,
     n: int,
-    runtime: PoolRuntime,
+    rngs: list[np.random.Generator],
     mode,
     rng: np.random.Generator,
     record: TrialRecord,
+    shared_amplification: bool = False,
 ) -> StepSummary:
-    """Shared-database round: build, tag, pooled measurement, ordered admission."""
-    if runtime.pool.mode != "shared":
-        raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a shared step")
-    pool = runtime.pool
-    duplicates = record.duplicates_discarded
+    """Shared-database round: build, tag, pooled measurement, ordered admission.
+
+    A row measured by several workers is admitted once; the repeats count as
+    duplicates. Amplification is charged once per worker in rngs, or once
+    for the pool under shared_amplification.
+    """
     db = tag_database(env, sys, build_database(env, tree, n, rng))
-    charged = 1 if pool.shared_amplification else pool.p
-    indices, verified = _measure_and_finalize(db, mode, runtime.worker_rngs, record, charged)
-    candidates = []
-    seen_indices: set[int] = set()
-    for idx, good in zip(indices.tolist(), verified.tolist()):
-        if not good:
-            continue
-        if idx in seen_indices:
-            record.duplicates_discarded += 1
-            continue
-        seen_indices.add(idx)
-        candidates.append((db.points[idx], int(db.parent_index[idx])))
-    return _admit_round(env, sys, tree, candidates, record, duplicates)
+    charged = 1 if shared_amplification else len(rngs)
+    indices, verified = _measure_and_finalize(db, mode, rngs, record, charged)
+    rows = dict.fromkeys(idx for idx, good in zip(indices.tolist(), verified.tolist()) if good)
+    candidates = [(db.points[idx], int(db.parent_index[idx])) for idx in rows]
+    return _admit_round(env, sys, tree, candidates, record, repeats=int(verified.sum()) - len(rows))
 
 
 def pqrrt_unshared_step(
@@ -173,7 +139,7 @@ def pqrrt_unshared_step(
     sys: LinearSystem,
     tree: Tree,
     n: int,
-    runtime: PoolRuntime,
+    rngs: list[np.random.Generator],
     mode,
     record: TrialRecord,
 ) -> StepSummary:
@@ -182,36 +148,28 @@ def pqrrt_unshared_step(
     All workers build and measure before anything is admitted, so every
     database sees the same snapshot.
     """
-    if runtime.pool.mode != "unshared":
-        raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run an unshared step")
-    duplicates = record.duplicates_discarded
     # A worker keeps only its verified measured row, not its database.
     candidates = []
-    for wrng in runtime.worker_rngs:
+    for wrng in rngs:
         db = tag_database(env, sys, build_database(env, tree, n, wrng))
         (idx,), (good,) = _measure_and_finalize(db, mode, [wrng], record)
         if good:
             candidates.append((db.points[idx].copy(), int(db.parent_index[idx])))
-    return _admit_round(env, sys, tree, candidates, record, duplicates)
+    return _admit_round(env, sys, tree, candidates, record)
 
 
 def prrt_manager_step(
     env: Environment,
     sys: LinearSystem,
     tree: Tree,
-    runtime: PoolRuntime,
+    rngs: list[np.random.Generator],
+    budget: int,
     record: TrialRecord,
 ) -> StepSummary:
     """Classical pooled round: each worker runs the classical attempt kernel
-    with the pool's per_worker_budget against the same tree snapshot."""
-    if runtime.pool.mode != "classical":
-        raise ValueError(f"pool mode {runtime.pool.mode!r} cannot run a classical step")
-    pool = runtime.pool
-    duplicates = record.duplicates_discarded
-    attempts = [
-        _classical_attempts(env, sys, tree, wrng, pool.per_worker_budget, record) for wrng in runtime.worker_rngs
-    ]
-    return _admit_round(env, sys, tree, [found for found in attempts if found is not None], record, duplicates)
+    with up to budget attempts against the same tree snapshot."""
+    attempts = [_classical_attempts(env, sys, tree, wrng, budget, record) for wrng in rngs]
+    return _admit_round(env, sys, tree, [found for found in attempts if found is not None], record)
 
 
 def run_parallel_plan(
@@ -223,7 +181,7 @@ def run_parallel_plan(
     target_nodes: int | None = None,
     cutoff: int | None = None,
 ) -> PlanResult:
-    """The plan engine stepping a pooled algorithm's pool, whichever mode it has.
+    """The plan engine stepping a pooled algorithm's pool with its mode's step.
 
     config names prrt, pqrrt-shared or pqrrt-unshared and carries its pool.
     seed drives the manager's own stream (database builds in shared mode);
@@ -231,15 +189,13 @@ def run_parallel_plan(
     its pool step up by module name, so a wrapper installed there sees it.
     """
     pool = config.pool
-    runtime = PoolRuntime.start(pool)
+    rngs = worker_rngs(pool)
     rng = np.random.default_rng(seed)
-
-    def step(tree, record):
-        if pool.mode == "shared":
-            pqrrt_manager_step(env, sys, tree, config.n, runtime, config.mode, rng, record)
-        elif pool.mode == "unshared":
-            pqrrt_unshared_step(env, sys, tree, config.n, runtime, config.mode, record)
-        else:
-            prrt_manager_step(env, sys, tree, runtime, record)
-
+    step = {
+        "shared": lambda tree, record: pqrrt_manager_step(
+            env, sys, tree, config.n, rngs, config.mode, rng, record, pool.shared_amplification
+        ),
+        "unshared": lambda tree, record: pqrrt_unshared_step(env, sys, tree, config.n, rngs, config.mode, record),
+        "classical": lambda tree, record: prrt_manager_step(env, sys, tree, rngs, pool.per_worker_budget, record),
+    }[pool.mode]
     return _plan(env, config.name, seed, config.max_steps, step, target_nodes, cutoff)

@@ -33,12 +33,15 @@ result depends on the block sizes.
 Database annealing replaces free placement with ring placement: each raw
 sample keeps only its direction from the chosen parent while the distance
 is redrawn inside the current temperature stage's [r_min, r_max] band. The
-temperature schedule advances one unit per admitted node, with stage
-boundaries at the cumulative stage durations. Constrained targets may land
-outside the bounds or inside obstacles; the tagging oracle simply marks
-them bad.
+stage is read off the tree: after h = len(tree) - 1 admitted nodes it is
+the one whose cumulative duration first exceeds h. Constrained targets may
+land outside the bounds or inside obstacles; the tagging oracle simply
+marks them bad.
 
-Admission rules shared by every planner in the package:
+Every step, rrt_step, qrrt_step and the three pool steps in parallel, hands
+its verified candidates in order to one admission loop, _admit_round, and
+returns its StepSummary: the admitted node indices and the duplicates
+discarded. Admission rules shared by every planner in the package:
 
 * a candidate whose coordinates already sit in the tree is discarded as a
   duplicate;
@@ -59,7 +62,7 @@ import numpy as np
 from . import qsim
 from .dynamics import LinearSystem, reachable, reachable_batch
 from .env import Environment, sample_uniform_batch
-from .records import ADDED, DUPLICATE, FAILED, StepResult, TrialRecord
+from .records import StepSummary, TrialRecord
 
 __all__ = [
     "Tree",
@@ -69,7 +72,6 @@ __all__ = [
     "build_database",
     "build_database_annealed",
     "tag_database",
-    "advance_temperature",
     "resolve_iterations",
     "qrrt_step",
     "rrt_step",
@@ -223,7 +225,7 @@ def build_database_annealed(
     raw = sample_uniform_batch(env, rng, size)
     pidx = tree.nearest_batch(raw)
     ppts = np.take(tree.coords, pidx, axis=0)
-    r_min, r_max = schedule.current_stage()
+    r_min, r_max = schedule.current_stage(len(tree) - 1)
     radii = rng.uniform(r_min, r_max, size)
     vec = raw - ppts
     norms = np.hypot(vec[:, 0], vec[:, 1])
@@ -250,11 +252,10 @@ class TemperatureSchedule:
 
     stages is a tuple of (duration_nodes, r_min, r_max); the band for h is
     the stage whose cumulative duration interval contains h, and past the
-    last boundary the final stage persists.
+    last boundary the final stage persists. A tree's h is len(tree) - 1.
     """
 
     stages: tuple[tuple[int, float, float], ...]
-    h: int = 0
 
     def __post_init__(self):
         if not self.stages:
@@ -268,15 +269,13 @@ class TemperatureSchedule:
                 raise ValueError(f"stage radii must satisfy 0 < r_min <= r_max, got {stage}")
             norm.append((int(dur), float(r_min), float(r_max)))
         object.__setattr__(self, "stages", tuple(norm))
-        if int(self.h) < 0:
-            raise ValueError(f"h must be >= 0, got {self.h}")
-        object.__setattr__(self, "h", int(self.h))
 
-    def current_stage(self) -> tuple[float, float]:
+    def current_stage(self, h: int) -> tuple[float, float]:
+        """The (r_min, r_max) band once h nodes have been admitted."""
         cumulative = 0
         for dur, r_min, r_max in self.stages:
             cumulative += dur
-            if self.h < cumulative:
+            if h < cumulative:
                 return (r_min, r_max)
         last = self.stages[-1]
         return (last[1], last[2])
@@ -284,11 +283,6 @@ class TemperatureSchedule:
     @classmethod
     def from_config(cls, stages) -> "TemperatureSchedule":
         return cls(stages=tuple((int(d), float(a), float(b)) for d, a, b in stages))
-
-
-def advance_temperature(schedule: TemperatureSchedule) -> TemperatureSchedule:
-    """Schedule advanced by one admitted node."""
-    return replace(schedule, h=schedule.h + 1)
 
 
 def resolve_iterations(mode, n: int, m: int) -> int:
@@ -307,12 +301,12 @@ def _admit_candidate(
     point: np.ndarray,
     parent_index: int,
     record: TrialRecord,
-) -> StepResult:
-    """Duplicate rejection, goal snap and the actual tree insertion."""
+) -> int | None:
+    """Duplicate rejection, goal snap and the tree insertion: the new node's index, or None for a duplicate."""
     point = np.asarray(point, dtype=float).reshape(2).copy()
     if tree.has_point(point):
         record.duplicates_discarded += 1
-        return StepResult(DUPLICATE)
+        return None
     snapped = False
     if tree.goal_index is None and not tree.has_point(env.xG):
         if float(np.hypot(*(point - env.xG))) < env.delta:
@@ -324,7 +318,22 @@ def _admit_candidate(
     record.log_admission(point)
     if snapped:
         tree.goal_index = idx
-    return StepResult(ADDED, idx)
+    return idx
+
+
+def _admit_round(env: Environment, sys: LinearSystem, tree: Tree, candidates, record, repeats: int = 0) -> StepSummary:
+    """Admit (point, parent index) candidates in order: every step's one admission loop.
+
+    repeats counts candidates the step already discarded as duplicates (a
+    pool's repeated measurements of one row); they join the round's count.
+    """
+    duplicates = record.duplicates_discarded
+    record.duplicates_discarded += repeats
+    admitted = [_admit_candidate(env, sys, tree, point, parent_index, record) for point, parent_index in candidates]
+    return StepSummary(
+        admitted_indices=tuple(idx for idx in admitted if idx is not None),
+        duplicates_discarded=record.duplicates_discarded - duplicates,
+    )
 
 
 def _step_database(
@@ -385,14 +394,13 @@ def qrrt_step(
     rng: np.random.Generator,
     record: TrialRecord,
     schedule: TemperatureSchedule | None = None,
-) -> StepResult:
+) -> StepSummary:
     """One amplified planning step (build, tag, amplify, measure, finalize, admit);
     with a schedule, targets are ring-constrained."""
     db = _step_database(env, sys, tree, n, rng, schedule)
     (idx,), (good,) = _measure_and_finalize(db, mode, [rng], record)
-    if not good:
-        return StepResult(FAILED)
-    return _admit_candidate(env, sys, tree, db.points[idx], int(db.parent_index[idx]), record)
+    candidates = [(db.points[idx], int(db.parent_index[idx]))] if good else []
+    return _admit_round(env, sys, tree, candidates, record)
 
 
 def _classical_attempts(
@@ -431,12 +439,10 @@ def rrt_step(
     tree: Tree,
     rng: np.random.Generator,
     record: TrialRecord,
-) -> StepResult:
+) -> StepSummary:
     """Classical step: one attempt (sample, nearest parent, one oracle call), then admission."""
     found = _classical_attempts(env, sys, tree, rng, 1, record)
-    if found is None:
-        return StepResult(FAILED)
-    return _admit_candidate(env, sys, tree, *found, record)
+    return _admit_round(env, sys, tree, [] if found is None else [found], record)
 
 
 @dataclass
@@ -495,13 +501,9 @@ def qrrt_plan(
     seed: int = -1,
 ) -> PlanResult:
     """Amplified steps until goal capture or a budget (steps, nodes, calls) runs out."""
-    sched = schedule
 
     def step(tree, record):
-        nonlocal sched
-        result = qrrt_step(env, sys, tree, n, mode, rng, record, schedule=sched)
-        if sched is not None and result.outcome == ADDED:
-            sched = advance_temperature(sched)
+        qrrt_step(env, sys, tree, n, mode, rng, record, schedule=schedule)
 
     label = algorithm or ("qda" if schedule is not None else "qrrt")
     return _plan(env, label, seed, max_steps, step, target_nodes, cutoff)

@@ -1,4 +1,4 @@
-"""Per-trial instrumentation record shared by the planners and the metrics layer.
+"""The per-trial record and the per-step summary shared by the planners and the metrics layer.
 
 Oracle calls fall into three categories:
 
@@ -16,18 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "TrialRecord",
-    "StepResult",
-    "StepSummary",
-    "ADDED",
-    "DUPLICATE",
-    "FAILED",
-]
-
-ADDED = "added"
-DUPLICATE = "duplicate"
-FAILED = "failed"
+__all__ = ["TrialRecord", "StepSummary"]
 
 
 @dataclass
@@ -61,16 +50,13 @@ class TrialRecord:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    """Outcome of one sequential planning step."""
-
-    outcome: str  # ADDED | DUPLICATE | FAILED
-    node_index: int | None = None
-
-
-@dataclass(frozen=True)
 class StepSummary:
-    """Outcome of one pooled manager step."""
+    """Outcome of one planner step, sequential or pooled.
+
+    admitted_indices are the new nodes' tree indices in admission order, so
+    a step that admits nothing returns (); duplicates_discarded counts the
+    candidates the step dropped because their point was already taken.
+    """
 
     admitted_indices: tuple[int, ...]
     duplicates_discarded: int

@@ -15,7 +15,7 @@ import numpy as np
 from qrrt import prob, qsim
 from qrrt.cli import bench_annealing, bench_corridor, bench_heatmap, bench_slopes, main
 from qrrt.dynamics import UnstableGainError, load_system
-from qrrt.parallel import PoolRuntime, WorkerPool
+from qrrt.parallel import WorkerPool, worker_rngs
 from qrrt.planner import Database, _measure_and_finalize
 from qrrt.records import TrialRecord
 
@@ -214,11 +214,11 @@ def test_criterion_08_pooled_collision_frequency():
         )
         k = qsim.optimal_iterations(4, m)
         pg = qsim.good_probability(4, m, k)
-        runtime = PoolRuntime.start(WorkerPool(p=8, mode="shared", seed_base=20_000 + m))
+        rngs = worker_rngs(WorkerPool(p=8, mode="shared", seed_base=20_000 + m))
         rec = TrialRecord(algorithm="fixture", seed=0)
         hits = 0
         for _ in range(steps):
-            measured, _ = _measure_and_finalize(db, k, runtime.worker_rngs, rec, runtime.pool.p)
+            measured, _ = _measure_and_finalize(db, k, rngs, rec, len(rngs))
             indices = set(measured.tolist())
             if len(indices) == 1 and mask[next(iter(indices))]:
                 hits += 1

@@ -522,7 +522,7 @@ def test_plan_rejects_pool_width_above_cap(tmp_path, capsys, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("built per-worker state past the pool width bound")
 
-    monkeypatch.setattr(cli.parallel, "worker_seed_sequences", must_not_run)
+    monkeypatch.setattr(cli.parallel, "worker_rngs", must_not_run)
     out = tmp_path / "out"
     for algo in ("prrt", "pqrrt-shared", "pqrrt-unshared"):
         argv = ["plan", "--algo", algo, "--env", str(env_path), "--seed", "1", "--out", str(out)]

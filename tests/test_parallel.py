@@ -7,13 +7,12 @@ from qrrt import dynamics, parallel, planner, qsim
 from qrrt.env import Environment
 from qrrt.metrics import AlgorithmConfig
 from qrrt.parallel import (
-    PoolRuntime,
     WorkerPool,
     pqrrt_manager_step,
     pqrrt_unshared_step,
     prrt_manager_step,
     run_parallel_plan,
-    worker_seed_sequences,
+    worker_rngs,
 )
 from qrrt.planner import (
     TemperatureSchedule,
@@ -87,25 +86,25 @@ def test_pool_width_is_capped(monkeypatch):
             WorkerPool(p=p, mode="shared", seeds=(1, 2))
     monkeypatch.undo()
     pool = WorkerPool(p=parallel.MAX_POOL_WIDTH, mode="shared", seed_base=1)
-    assert len(PoolRuntime.start(pool).worker_rngs) == parallel.MAX_POOL_WIDTH
+    assert len(worker_rngs(pool)) == parallel.MAX_POOL_WIDTH
 
 
-def test_worker_seed_sequences_derivation():
+def test_worker_rngs_derivation():
+    # seed_base spawns worker wid's stream with spawn key (wid,); explicit seeds seed one stream each.
     pool = WorkerPool(p=3, mode="shared", seed_base=42)
-    seqs = worker_seed_sequences(pool)
-    assert [s.entropy for s in seqs] == [42, 42, 42]
-    assert [s.spawn_key for s in seqs] == [(0,), (1,), (2,)]
-    explicit = worker_seed_sequences(WorkerPool(p=2, mode="unshared", seeds=(7, 9)))
-    assert [s.entropy for s in explicit] == [7, 9]
+    spawned = [np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(w,))).random() for w in range(3)]
+    assert [r.random() for r in worker_rngs(pool)] == spawned
+    explicit = worker_rngs(WorkerPool(p=2, mode="unshared", seeds=(7, 9)))
+    assert [r.random() for r in explicit] == [np.random.default_rng(s).random() for s in (7, 9)]
 
 
 def test_runtime_streams_are_distinct_and_reproducible():
     pool = WorkerPool(p=4, mode="shared", seed_base=10)
-    a = PoolRuntime.start(pool)
-    b = PoolRuntime.start(pool)
-    assert len(a.worker_rngs) == 4
-    draws_a = [r.random() for r in a.worker_rngs]
-    draws_b = [r.random() for r in b.worker_rngs]
+    a = worker_rngs(pool)
+    b = worker_rngs(pool)
+    assert len(a) == 4
+    draws_a = [r.random() for r in a]
+    draws_b = [r.random() for r in b]
     assert draws_a == draws_b
     assert len(set(draws_a)) == 4
 
@@ -119,15 +118,13 @@ def test_shared_step_matches_independent_replay(box_env, system):
     pool = WorkerPool(p=8, mode="shared", seed_base=101)
     tree = Tree(box_env.x0)
     rec = record()
-    summary = pqrrt_manager_step(
-        box_env, system, tree, 6, PoolRuntime.start(pool), "optimal", np.random.default_rng(55), rec
-    )
+    summary = pqrrt_manager_step(box_env, system, tree, 6, worker_rngs(pool), "optimal", np.random.default_rng(55), rec)
 
     # Replay with cloned streams: same database, same measurements.
     db = tag_database(
         box_env, system, build_database(box_env, Tree(box_env.x0), 6, np.random.default_rng(55))
     )
-    indices, verified = _measure_and_finalize(db, "optimal", PoolRuntime.start(pool).worker_rngs, record(), 8)
+    indices, verified = _measure_and_finalize(db, "optimal", worker_rngs(pool), record(), 8)
     assert len(indices) == 8
 
     expected_points = []
@@ -152,8 +149,8 @@ def _quantum_steps(system):
     """One step of each quantum algorithm, as (name, step(env, tree, record))."""
     rng = np.random.default_rng(8)
     schedule = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
-    shared = PoolRuntime.start(WorkerPool(p=4, mode="shared", seed_base=9))
-    unshared = PoolRuntime.start(WorkerPool(p=4, mode="unshared", seed_base=10))
+    shared = worker_rngs(WorkerPool(p=4, mode="shared", seed_base=9))
+    unshared = worker_rngs(WorkerPool(p=4, mode="unshared", seed_base=10))
     return [
         ("qrrt", lambda env, tree, rec: qrrt_step(env, system, tree, 6, "optimal", rng, rec)),
         ("qda", lambda env, tree, rec: qrrt_step(env, system, tree, 6, "optimal", rng, rec, schedule=schedule)),
@@ -231,9 +228,7 @@ def test_shared_step_charges_every_worker_for_amplification(free_env, system):
         pool = WorkerPool(p=4, mode="shared", seed_base=11, shared_amplification=shared)
         tree = Tree(free_env.x0)
         rec = record()
-        pqrrt_manager_step(
-            free_env, system, tree, 6, PoolRuntime.start(pool), 2, np.random.default_rng(3), rec
-        )
+        pqrrt_manager_step(free_env, system, tree, 6, worker_rngs(pool), 2, np.random.default_rng(3), rec, shared)
         assert rec.calls_amplification == expect_amp
         assert rec.calls_finalizer >= 4  # one verification per worker
         coords.append(tree.coords.copy())
@@ -244,20 +239,12 @@ def test_shared_step_charges_every_worker_for_amplification(free_env, system):
 def test_shared_step_appends_one_m_per_round(free_env, system):
     pool = WorkerPool(p=8, mode="shared", seed_base=4)
     rec = record()
-    runtime = PoolRuntime.start(pool)
+    rngs = worker_rngs(pool)
     rng = np.random.default_rng(6)
     tree = Tree(free_env.x0)
-    pqrrt_manager_step(free_env, system, tree, 6, runtime, "optimal", rng, rec)
-    pqrrt_manager_step(free_env, system, tree, 6, runtime, "optimal", rng, rec)
+    pqrrt_manager_step(free_env, system, tree, 6, rngs, "optimal", rng, rec)
+    pqrrt_manager_step(free_env, system, tree, 6, rngs, "optimal", rng, rec)
     assert rec.per_step_m == [64, 64]  # free space: all 2^6 entries reachable
-
-
-def test_shared_step_rejects_wrong_pool_mode(free_env, system, rng):
-    pool = WorkerPool(p=2, mode="classical", seed_base=1)
-    with pytest.raises(ValueError):
-        pqrrt_manager_step(
-            free_env, system, Tree(free_env.x0), 4, PoolRuntime.start(pool), "optimal", rng, record()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +256,12 @@ def test_unshared_step_uses_one_tree_snapshot(free_env, system):
     pool = WorkerPool(p=8, mode="unshared", seed_base=21)
     tree = Tree(free_env.x0)
     rec = record()
-    summary = pqrrt_unshared_step(free_env, system, tree, 6, PoolRuntime.start(pool), "optimal", rec)
+    summary = pqrrt_unshared_step(free_env, system, tree, 6, worker_rngs(pool), "optimal", rec)
     assert len(rec.per_step_m) == 8  # one database per worker
     assert len(summary.admitted_indices) >= 1
     # Databases were all built against the root-only snapshot.
     for idx in summary.admitted_indices:
         assert tree.parents[idx] == 0
-
-
-def test_unshared_step_rejects_wrong_pool_mode(free_env, system):
-    pool = WorkerPool(p=2, mode="shared", seed_base=1)
-    with pytest.raises(ValueError):
-        pqrrt_unshared_step(
-            free_env, system, Tree(free_env.x0), 4, PoolRuntime.start(pool), "optimal", record()
-        )
 
 
 def test_single_unshared_worker_matches_sequential_planner(box_env, system):
@@ -308,7 +287,7 @@ def test_classical_single_worker_matches_sequential_step(free_env, system):
     pool = WorkerPool(p=1, mode="classical", seeds=(9,), per_worker_budget=1)
     t_pool = Tree(free_env.x0)
     r_pool = record()
-    prrt_manager_step(free_env, system, t_pool, PoolRuntime.start(pool), r_pool)
+    prrt_manager_step(free_env, system, t_pool, worker_rngs(pool), pool.per_worker_budget, r_pool)
     t_seq = Tree(free_env.x0)
     r_seq = record()
     rrt_step(free_env, system, t_seq, np.random.default_rng(9), r_seq)
@@ -320,7 +299,7 @@ def test_classical_round_in_free_space_admits_every_worker(free_env, system):
     pool = WorkerPool(p=8, mode="classical", seed_base=33, per_worker_budget=4)
     tree = Tree(free_env.x0)
     rec = record()
-    summary = prrt_manager_step(free_env, system, tree, PoolRuntime.start(pool), rec)
+    summary = prrt_manager_step(free_env, system, tree, worker_rngs(pool), pool.per_worker_budget, rec)
     assert len(summary.admitted_indices) == 8
     assert rec.calls_classical == 8  # free space: first draw always verifies
     assert len(tree) == 9
@@ -330,16 +309,10 @@ def test_classical_round_exhausts_budget_when_blocked(sealed_root_env, system):
     pool = WorkerPool(p=4, mode="classical", seed_base=13, per_worker_budget=3)
     tree = Tree(sealed_root_env.x0)
     rec = record()
-    summary = prrt_manager_step(sealed_root_env, system, tree, PoolRuntime.start(pool), rec)
+    summary = prrt_manager_step(sealed_root_env, system, tree, worker_rngs(pool), pool.per_worker_budget, rec)
     assert summary.admitted_indices == ()
     assert rec.calls_classical == 4 * 3
     assert len(tree) == 1
-
-
-def test_classical_step_rejects_wrong_pool_mode(free_env, system):
-    pool = WorkerPool(p=2, mode="unshared", seed_base=1)
-    with pytest.raises(ValueError):
-        prrt_manager_step(free_env, system, Tree(free_env.x0), PoolRuntime.start(pool), record())
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +328,30 @@ def test_run_parallel_plan_labels(system):
         result = run_parallel_plan(env, system, cfg, seed=1)
         assert result.record.algorithm == label
         assert result.goal_found and result.record.total_calls() == 0
+
+
+def test_run_parallel_plan_steps_by_pool_mode(monkeypatch, free_env, system):
+    # The pool's mode picks the step, looked up by module name each round:
+    # a config can only reach the step of its own mode.
+    steps = {"shared": "pqrrt_manager_step", "unshared": "pqrrt_unshared_step", "classical": "prrt_manager_step"}
+    calls = []
+
+    def spy(name):
+        original = getattr(parallel, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in steps.values():
+        monkeypatch.setattr(parallel, name, spy(name))
+    for mode, label in (("shared", "pqrrt-shared"), ("unshared", "pqrrt-unshared"), ("classical", "prrt")):
+        calls.clear()
+        cfg = AlgorithmConfig(name=label, pool=WorkerPool(p=2, mode=mode, seed_base=5), n=4, max_steps=3)
+        run_parallel_plan(free_env, system, cfg, seed=1)
+        assert calls and set(calls) == {steps[mode]}, mode
 
 
 def test_run_parallel_plan_deterministic(box_env, system):

@@ -14,7 +14,6 @@ from qrrt.planner import (
     Tree,
     _admit_candidate,
     _measure_and_finalize,
-    advance_temperature,
     build_database,
     build_database_annealed,
     extract_path,
@@ -25,7 +24,7 @@ from qrrt.planner import (
     rrt_plan,
     tag_database,
 )
-from qrrt.records import ADDED, DUPLICATE, FAILED, TrialRecord
+from qrrt.records import StepSummary, TrialRecord
 
 
 def record():
@@ -243,12 +242,21 @@ def test_annealed_database_respects_radius_band(free_env, rng):
     np.testing.assert_array_equal(db.parent_points, tree.coords[db.parent_index])
 
 
+def grown_tree(env, nodes):
+    """A tree of the given size: the root plus a chain of admitted nodes."""
+    tree = Tree(env.x0)
+    for i in range(1, nodes):
+        tree.add((1.0 + 0.25 * i, 2.0), i - 1)
+    return tree
+
+
 def test_annealed_database_uses_stage_for_current_h(free_env, rng):
-    tree = Tree(free_env.x0)
-    sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)), h=16)
-    db = build_database_annealed(free_env, tree, 8, sched, rng)
-    dist = np.hypot(*(db.points - db.parent_points).T)
-    assert np.all(dist >= 0.8 - 1e-9) and np.all(dist <= 2.0 + 1e-9)
+    # A 17-node tree has admitted h = 16 nodes: the first stage's 16 are spent.
+    sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    for nodes, (lo, hi) in ((16, (2.7, 4.2)), (17, (0.8, 2.0))):
+        db = build_database_annealed(free_env, grown_tree(free_env, nodes), 8, sched, rng)
+        dist = np.hypot(*(db.points - db.parent_points).T)
+        assert np.all(dist >= lo - 1e-9) and np.all(dist <= hi + 1e-9), nodes
 
 
 def test_annealed_database_degenerate_band_is_a_ring(free_env, rng):
@@ -370,18 +378,26 @@ def test_nearest_batch_memory_is_bounded(rng):
 
 def test_schedule_stage_lookup_by_cumulative_duration():
     sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
-    assert sched.current_stage() == (2.7, 4.2)
+    assert sched.current_stage(0) == (2.7, 4.2)
     for h, band in ((15, (2.7, 4.2)), (16, (0.8, 2.0)), (47, (0.8, 2.0)), (48, (0.8, 2.0))):
-        assert TemperatureSchedule(sched.stages, h=h).current_stage() == band
+        assert sched.current_stage(h) == band
     # Last stage persists far beyond its nominal duration.
-    assert TemperatureSchedule(sched.stages, h=10_000).current_stage() == (0.8, 2.0)
+    assert sched.current_stage(10_000) == (0.8, 2.0)
 
 
-def test_advance_temperature_is_pure():
-    sched = TemperatureSchedule(stages=((2, 1.0, 2.0),))
-    bumped = advance_temperature(sched)
-    assert bumped.h == 1 and sched.h == 0
-    assert bumped.stages == sched.stages
+def test_annealed_steps_read_their_stage_off_the_tree(free_env, system):
+    # The schedule holds no counter: each qrrt_step reads h = len(tree) - 1,
+    # so the stage turns once the tree has grown to 17 nodes, and the
+    # schedule object is the same before and after.
+    sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    env = Environment(bounds=(0, 0, 40, 40), obstacles=(), x0=(20, 20), xG=(39, 39), delta=0.1)
+    tree, rec, rng = Tree(env.x0), record(), np.random.default_rng(17)
+    while len(tree) < 18:
+        qrrt_step(env, system, tree, 6, "optimal", rng, rec, schedule=sched)
+    assert sched == TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    edges = np.hypot(*(tree.coords[1:] - tree.coords[tree.parents[1:]]).T)
+    assert np.all((edges[:16] >= 2.7 - 1e-9) & (edges[:16] <= 4.2 + 1e-9))
+    assert 0.8 - 1e-9 <= edges[16] <= 2.0 + 1e-9
 
 
 def test_schedule_validation():
@@ -393,8 +409,6 @@ def test_schedule_validation():
         TemperatureSchedule(stages=((4, 0.0, 2.0),))
     with pytest.raises(ValueError):
         TemperatureSchedule(stages=((4, 3.0, 2.0),))
-    with pytest.raises(ValueError):
-        TemperatureSchedule(stages=((4, 1.0, 2.0),), h=-1)
 
 
 def test_schedule_from_config_coerces():
@@ -419,10 +433,8 @@ def test_resolve_iterations():
 def test_admit_rejects_duplicates(free_env, system):
     tree = Tree(free_env.x0)
     rec = record()
-    first = _admit_candidate(free_env, system, tree, np.array([2.0, 2.0]), 0, rec)
-    assert first.outcome == ADDED and first.node_index == 1
-    again = _admit_candidate(free_env, system, tree, np.array([2.0, 2.0]), 0, rec)
-    assert again.outcome == DUPLICATE and again.node_index is None
+    assert _admit_candidate(free_env, system, tree, np.array([2.0, 2.0]), 0, rec) == 1
+    assert _admit_candidate(free_env, system, tree, np.array([2.0, 2.0]), 0, rec) is None
     assert rec.duplicates_discarded == 1
     assert len(tree) == 2
 
@@ -432,10 +444,10 @@ def test_goal_snap_success(free_env, system):
     rec = record()
     candidate = np.array([8.8, 8.7])  # within delta of the goal
     assert reachable(free_env, system, free_env.x0, free_env.xG)
-    result = _admit_candidate(free_env, system, tree, candidate, 0, rec)
-    assert result.outcome == ADDED
-    np.testing.assert_array_equal(tree.coords[result.node_index], free_env.xG)
-    assert tree.goal_index == result.node_index
+    idx = _admit_candidate(free_env, system, tree, candidate, 0, rec)
+    assert idx == 1
+    np.testing.assert_array_equal(tree.coords[idx], free_env.xG)
+    assert tree.goal_index == idx
     assert rec.calls_finalizer == 1
 
 
@@ -453,9 +465,9 @@ def test_goal_snap_failure_admits_unmoved(system):
     candidate = np.array([9.0, 9.25])
     assert not reachable(env, system, tree.coords[parent], env.xG)
     rec = record()
-    result = _admit_candidate(env, system, tree, candidate, parent, rec)
-    assert result.outcome == ADDED
-    np.testing.assert_array_equal(tree.coords[result.node_index], candidate)
+    idx = _admit_candidate(env, system, tree, candidate, parent, rec)
+    assert idx == 2
+    np.testing.assert_array_equal(tree.coords[idx], candidate)
     assert tree.goal_index is None
     assert rec.calls_finalizer == 1
 
@@ -465,9 +477,9 @@ def test_goal_snap_skipped_once_goal_captured(free_env, system):
     rec = record()
     _admit_candidate(free_env, system, tree, np.array([8.8, 8.7]), 0, rec)
     assert tree.goal_index is not None
-    result = _admit_candidate(free_env, system, tree, np.array([8.9, 8.8]), 0, rec)
-    assert result.outcome == ADDED
-    np.testing.assert_array_equal(tree.coords[result.node_index], [8.9, 8.8])
+    idx = _admit_candidate(free_env, system, tree, np.array([8.9, 8.8]), 0, rec)
+    assert idx == 2
+    np.testing.assert_array_equal(tree.coords[idx], [8.9, 8.8])
     assert rec.calls_finalizer == 1  # no second snap attempt
 
 
@@ -479,8 +491,7 @@ def test_goal_snap_skipped_once_goal_captured(free_env, system):
 def test_qrrt_step_accounting_fixed_iterations(free_env, system, rng):
     tree = Tree(free_env.x0)
     rec = record()
-    result = qrrt_step(free_env, system, tree, 8, 2, rng, rec)
-    assert result.outcome == ADDED
+    assert qrrt_step(free_env, system, tree, 8, 2, rng, rec) == StepSummary(admitted_indices=(1,), duplicates_discarded=0)
     assert len(tree) == 2
     assert rec.per_step_m == [256]  # free space: every entry reachable
     assert rec.calls_amplification == 2
@@ -506,7 +517,7 @@ def test_amplified_admit_with_empty_mask_fails_cleanly(system, rng):
     tree = Tree(sealed.x0)
     rec = record()
     result = qrrt_step(sealed, system, tree, 2, "optimal", rng, rec)
-    assert result.outcome == FAILED
+    assert result == StepSummary(admitted_indices=(), duplicates_discarded=0)
     assert len(tree) == 1
     assert rec.per_step_m == [0]
     assert rec.calls_amplification == 0  # zero optimal iterations at m = 0
