@@ -61,18 +61,14 @@ ALGORITHM_TABLE = {
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
-# Largest fixed iteration count: qsim.amplify runs k scalar steps, and the
-# optimal k at n = 20 is at most floor((pi / 4) 2^10) = 804.
-MAX_FIXED_ITERATIONS = 10**6
-
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Everything needed to run one planner variant on an environment.
 
-    mode is "optimal" or a fixed iteration count in [0, MAX_FIXED_ITERATIONS];
-    schedule is required for qda; pool is required for the pooled variants,
-    in the table's mode.
+    mode is "optimal" or a fixed iteration count in [0, planner.MAX_FIXED_ITERATIONS];
+    schedule is required for qda and refused for the others; pool is required
+    for the pooled variants, in the table's mode, and refused for the others.
     """
 
     name: str
@@ -85,13 +81,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.name not in ALGORITHM_TABLE:
             raise ValueError(f"unknown algorithm {self.name!r}, expected one of {ALGORITHMS}")
-        if self.mode != "optimal":
-            if not isinstance(self.mode, (int, np.integer)):
-                raise ValueError(f"mode must be 'optimal' or a fixed iteration count, got {self.mode!r}")
-            if self.mode < 0:
-                raise ValueError(f"fixed iteration count must be >= 0, got {self.mode}")
-            if self.mode > MAX_FIXED_ITERATIONS:
-                raise ValueError(f"fixed iteration count must be <= {MAX_FIXED_ITERATIONS}, got {self.mode}")
+        _planner._check_mode(self.mode)
         spec = ALGORITHM_TABLE[self.name]
         if spec.amplified:
             qsim._check_n(self.n)
@@ -99,6 +89,10 @@ class AlgorithmConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.name == "qda" and self.schedule is None:
             raise ValueError("qda needs a temperature schedule")
+        if self.name != "qda" and self.schedule is not None:
+            raise ValueError(f"{self.name} takes no temperature schedule; only qda does")
+        if spec.pool_mode is None and self.pool is not None:
+            raise ValueError(f"{self.name} runs no worker pool, got one in mode {self.pool.mode!r}")
         if spec.pool_mode is not None and (self.pool is None or self.pool.mode != spec.pool_mode):
             got = "none" if self.pool is None else repr(self.pool.mode)
             raise ValueError(f"{self.name} needs a worker pool in mode {spec.pool_mode!r}, got {got}")
@@ -139,7 +133,6 @@ def run_trial(
         schedule=algo.schedule,
         target_nodes=target_nodes,
         cutoff=cutoff,
-        algorithm=algo.name,
         seed=seed,
     )
 

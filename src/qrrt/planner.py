@@ -285,12 +285,30 @@ class TemperatureSchedule:
         return cls(stages=tuple((int(d), float(a), float(b)) for d, a, b in stages))
 
 
+# Largest fixed iteration count: qsim.amplify runs k scalar steps, and the
+# optimal k at n = 20 is at most floor((pi / 4) 2^10) = 804.
+MAX_FIXED_ITERATIONS = 10**6
+
+
+def _check_mode(mode) -> None:
+    """The one rule for an iteration mode: "optimal", or an int in [0, MAX_FIXED_ITERATIONS]."""
+    if mode == "optimal":
+        return
+    if not isinstance(mode, (int, np.integer)):
+        raise ValueError(f"mode must be 'optimal' or a fixed iteration count, got {mode!r}")
+    if mode < 0:
+        raise ValueError(f"fixed iteration count must be >= 0, got {mode}")
+    if mode > MAX_FIXED_ITERATIONS:
+        raise ValueError(f"fixed iteration count must be <= {MAX_FIXED_ITERATIONS}, got {mode}")
+
+
 def resolve_iterations(mode, n: int, m: int) -> int:
     """Amplification iteration count for a tagged database.
 
     mode is either the string "optimal" (closed-form optimum for the exact
-    m) or a fixed count, which metrics.AlgorithmConfig bounds.
+    m) or a fixed count in [0, MAX_FIXED_ITERATIONS]; anything else raises.
     """
+    _check_mode(mode)
     return qsim.optimal_iterations(n, m) if mode == "optimal" else int(mode)
 
 
@@ -497,16 +515,18 @@ def qrrt_plan(
     schedule: TemperatureSchedule | None = None,
     target_nodes: int | None = None,
     cutoff: int | None = None,
-    algorithm: str | None = None,
     seed: int = -1,
 ) -> PlanResult:
-    """Amplified steps until goal capture or a budget (steps, nodes, calls) runs out."""
+    """Amplified steps until goal capture or a budget (steps, nodes, calls) runs out.
+
+    The record is labelled qda under a schedule and qrrt without one. mode is
+    checked before the first step, so a bad one builds no database."""
+    _check_mode(mode)
 
     def step(tree, record):
         qrrt_step(env, sys, tree, n, mode, rng, record, schedule=schedule)
 
-    label = algorithm or ("qda" if schedule is not None else "qrrt")
-    return _plan(env, label, seed, max_steps, step, target_nodes, cutoff)
+    return _plan(env, "qrrt" if schedule is None else "qda", seed, max_steps, step, target_nodes, cutoff)
 
 
 def rrt_plan(

@@ -6,6 +6,7 @@ from conftest import wilson_hilferty_chi2_quantile
 
 from qrrt.env import Environment
 from qrrt.metrics import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     AlgorithmConfig,
     Heatmap,
@@ -71,6 +72,24 @@ def test_algorithm_config_validation():
         AlgorithmConfig(name="prrt", pool=WorkerPool(p=2, mode="shared", seed_base=1))
     with pytest.raises(ValueError):
         AlgorithmConfig(name="pqrrt-shared", pool=WorkerPool(p=2, mode="classical", seed_base=1))
+
+
+def test_algorithm_config_rejects_a_schedule_or_pool_it_would_not_run(box_env, system):
+    # A schedule given to qrrt used to run annealed q-RRT labelled qrrt, and a
+    # pool given to a sequential algorithm was silently ignored.
+    sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
+    pools = {mode: WorkerPool(p=2, mode=mode, seed_base=1) for mode in ("shared", "unshared", "classical")}
+    for name in ("rrt", "qrrt", "prrt", "pqrrt-shared", "pqrrt-unshared"):
+        pool = pools.get(ALGORITHM_TABLE[name].pool_mode)
+        with pytest.raises(ValueError, match=f"{name} takes no temperature schedule"):
+            AlgorithmConfig(name=name, schedule=sched, pool=pool)
+    for name in ("rrt", "qrrt", "qda"):
+        schedule = sched if name == "qda" else None
+        for pool in pools.values():
+            with pytest.raises(ValueError, match=f"{name} runs no worker pool"):
+                AlgorithmConfig(name=name, schedule=schedule, pool=pool)
+    result = run_trial(AlgorithmConfig(name="qda", n=5, mode=2, schedule=sched), box_env, system, 3, target_nodes=2)
+    assert result.record.algorithm == "qda"
 
 
 @pytest.mark.parametrize("n", [0, -1, MAX_DATABASE_QUBITS + 1])

@@ -420,9 +420,27 @@ def test_resolve_iterations():
     assert resolve_iterations("optimal", 8, 64) == 1
     assert resolve_iterations("optimal", 8, 0) == 0
     assert resolve_iterations(3, 8, 64) == 3
-    assert resolve_iterations("5", 8, 64) == 5
-    with pytest.raises(ValueError):
-        resolve_iterations("fastest", 8, 64)
+    for mode in ("fastest", "5", 2.5):
+        with pytest.raises(ValueError, match="'optimal' or a fixed iteration count"):
+            resolve_iterations(mode, 8, 64)
+
+
+def test_resolve_iterations_bounds_a_fixed_count():
+    # qsim.amplify runs k scalar steps: k = 10^12 would run for days.
+    with pytest.raises(ValueError, match="fixed iteration count must be <= 1000000"):
+        resolve_iterations(10**12, 4, 1)
+    with pytest.raises(ValueError, match="fixed iteration count must be >= 0"):
+        resolve_iterations(-1, 4, 1)
+    assert resolve_iterations(planner.MAX_FIXED_ITERATIONS, 4, 1) == 10**6
+
+
+def test_qrrt_plan_checks_a_fixed_count_before_its_first_step(monkeypatch, free_env):
+    def must_not_run(*args):
+        raise AssertionError("built a database before checking the iteration count")
+
+    monkeypatch.setattr(planner, "build_database", must_not_run)
+    with pytest.raises(ValueError, match="fixed iteration count must be <= 1000000"):
+        qrrt_plan(free_env, default_system(), 4, 10**12, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
