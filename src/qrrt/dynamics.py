@@ -84,6 +84,12 @@ _REACH_BLOCK_ROWS = 8192
 # by their next one, where the loop stops at once.
 _REACH_TAIL_ROWS = 256
 
+# Longest tracking horizon: 20x the shipped 50. The fused tail holds rows x
+# steps-to-capture points, so at this cap 256 slow rows (rho = 0.999) that
+# capture near the last step peak at about 49 MiB traced; a horizon of 10^9
+# would let such rows grow the tail without bound.
+MAX_HORIZON = 1000
+
 
 class UnstableGainError(ValueError):
     """Raised when A - B K has spectral radius >= 1."""
@@ -102,7 +108,7 @@ def _as_matrix(m, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Plant (A, B), feedback gain K, tracking horizon and capture radius.
+    """Plant (A, B), feedback gain K, tracking horizon (at most MAX_HORIZON) and capture radius.
 
     capture_radius None means "reuse the environment's goal radius delta".
     The closed-loop matrix a_cl = A - B K is precomputed and the spectral
@@ -119,8 +125,8 @@ class LinearSystem:
         a = _as_matrix(self.a, "A")
         b = _as_matrix(self.b, "B")
         k = _as_matrix(self.k, "K")
-        if not (int(self.horizon) >= 1):
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (1 <= int(self.horizon) <= MAX_HORIZON):
+            raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {self.horizon}")
         if self.capture_radius is not None and not (float(self.capture_radius) > 0):
             raise ValueError(f"capture_radius must be positive, got {self.capture_radius}")
         a_cl = a - b @ k

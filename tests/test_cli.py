@@ -312,6 +312,18 @@ def test_plan_zero_target_nodes_stays_valid(tmp_path):
     assert len(json.loads((out / "tree.json").read_text())["nodes"]) == 1
 
 
+def test_plan_rejects_a_horizon_above_the_cap(tmp_path, capsys):
+    env_path = gen_env(tmp_path)
+    config = json.loads((CONFIGS_DIR / "system_default.json").read_text())
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({**config, "horizon": 1_000_000_000}))
+    out = tmp_path / "out"
+    assert main(plan_args(env_path, out, "qrrt", "--n", "4", "--max-steps", "1", "--sys", str(sys_path))) == 1
+    err = capsys.readouterr().err
+    assert "horizon must be in [1, 1000], got 1000000000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_plan_rejects_env_and_system_files_that_are_not_objects(tmp_path, capsys):
     env_path = gen_env(tmp_path)
     listed = tmp_path / "list.json"

@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qrrt import dynamics, env as envmod
+from qrrt import cli, dynamics, env as envmod
 from qrrt.dynamics import (
     DEFAULT_A,
     DEFAULT_B,
@@ -90,6 +91,34 @@ def test_horizon_and_capture_radius_validation():
         LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=DEFAULT_GAIN, horizon=0)
     with pytest.raises(ValueError):
         LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=DEFAULT_GAIN, horizon=10, capture_radius=0.0)
+
+
+def test_horizon_is_capped():
+    for horizon in (1001, 10**9):
+        with pytest.raises(ValueError, match=r"horizon must be in \[1, 1000\]"):
+            LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=DEFAULT_GAIN, horizon=horizon)
+    assert default_system(horizon=dynamics.MAX_HORIZON).horizon == 1000
+
+
+def test_tail_memory_is_bounded_at_the_horizon_cap():
+    # The fused tail holds rows x steps-to-capture points. A slow loop
+    # (rho = 0.999) with errors of 2.7 delta captures near step 993, so 256
+    # live tail rows on the slopes world hold nearly the full capped horizon.
+    world = envmod.generate_random_env(cli._env_spec(cli.SLOPES_DEFAULTS), 1234)
+    rng = np.random.default_rng(1234)
+    samples = envmod.sample_uniform_batch(world, rng, 4096)
+    targets = samples[envmod.points_free(world, samples)][:256]
+    angles = rng.uniform(0.0, 2.0 * math.pi, 256)
+    parents = targets + 2.7 * world.delta * np.c_[np.cos(angles), np.sin(angles)]
+    slow = LinearSystem(a=0.999 * np.eye(2), b=np.eye(2), k=np.zeros((2, 2)), horizon=dynamics.MAX_HORIZON)
+    tracemalloc.start()
+    try:
+        reach = reachable_batch(world, slow, parents, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reach.sum() > 128  # most rows ran their long trajectories to capture
+    assert peak <= 64 * 2**20, f"reachable_batch peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_matrices_must_be_2x2():
