@@ -24,7 +24,7 @@ from qrrt.planner import (
     rrt_step,
     tag_database,
 )
-from qrrt.records import TrialRecord
+from qrrt.records import StepSummary, TrialRecord
 
 
 def record():
@@ -157,6 +157,47 @@ def _quantum_steps(system):
         ("pqrrt-shared", lambda env, tree, rec: pqrrt_manager_step(env, system, tree, 6, shared, "optimal", rng, rec)),
         ("pqrrt-unshared", lambda env, tree, rec: pqrrt_unshared_step(env, system, tree, 6, unshared, "optimal", rec)),
     ]
+
+
+def _every_step(system):
+    """One step of every planner, as step(env, tree, record) -> StepSummary.
+
+    The amplified steps run k = 0: on box_env most rows are good, where one
+    iteration would overshoot and measure mostly bad rows.
+    """
+    rng = np.random.default_rng(31)
+    schedule = TemperatureSchedule(stages=((3, 2.7, 4.2), (32, 0.8, 2.0)))
+    shared = worker_rngs(WorkerPool(p=8, mode="shared", seed_base=32))
+    unshared = worker_rngs(WorkerPool(p=4, mode="unshared", seed_base=33))
+    classical = worker_rngs(WorkerPool(p=4, mode="classical", seed_base=34))
+    return {
+        "rrt": lambda env, tree, rec: rrt_step(env, system, tree, rng, rec),
+        "qrrt": lambda env, tree, rec: qrrt_step(env, system, tree, 5, 0, rng, rec),
+        "qda": lambda env, tree, rec: qrrt_step(env, system, tree, 5, 0, rng, rec, schedule=schedule),
+        # Eight workers measuring a 2^2-row database repeat rows most rounds.
+        "pqrrt-shared": lambda env, tree, rec: pqrrt_manager_step(env, system, tree, 2, shared, 0, rng, rec),
+        "pqrrt-unshared": lambda env, tree, rec: pqrrt_unshared_step(env, system, tree, 5, unshared, 0, rec),
+        "prrt": lambda env, tree, rec: prrt_manager_step(env, system, tree, classical, 2, rec),
+    }
+
+
+@pytest.mark.parametrize("name", ["rrt", "qrrt", "qda", "pqrrt-shared", "pqrrt-unshared", "prrt"])
+def test_every_step_returns_one_summary_shape(box_env, system, name):
+    # Every step admits through planner._admit_round: its summary lists the
+    # nodes it appended, in order, and the duplicates the record gained.
+    step = _every_step(system)[name]
+    tree, rec = Tree(box_env.x0), record()
+    duplicates = 0
+    for _ in range(6):
+        len_before, dup_before = len(tree), rec.duplicates_discarded
+        summary = step(box_env, tree, rec)
+        assert isinstance(summary, StepSummary), name
+        assert summary.admitted_indices == tuple(range(len_before, len(tree))), name
+        assert summary.duplicates_discarded == rec.duplicates_discarded - dup_before, name
+        duplicates += summary.duplicates_discarded
+    assert rec.nodes_admitted == len(tree) - 1 > 0, name
+    if name == "pqrrt-shared":
+        assert duplicates > 0
 
 
 @pytest.mark.parametrize("goal_delta", [None, 20.0], ids=["no-snap", "snap"])
