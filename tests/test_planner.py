@@ -392,8 +392,9 @@ def test_annealed_steps_read_their_stage_off_the_tree(free_env, system):
     sched = TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
     env = Environment(bounds=(0, 0, 40, 40), obstacles=(), x0=(20, 20), xG=(39, 39), delta=0.1)
     tree, rec, rng = Tree(env.x0), record(), np.random.default_rng(17)
-    while len(tree) < 18:
+    for _ in range(17):  # free space far from the goal: every step admits one node
         qrrt_step(env, system, tree, 6, "optimal", rng, rec, schedule=sched)
+    assert len(tree) == 18
     assert sched == TemperatureSchedule(stages=((16, 2.7, 4.2), (32, 0.8, 2.0)))
     edges = np.hypot(*(tree.coords[1:] - tree.coords[tree.parents[1:]]).T)
     assert np.all((edges[:16] >= 2.7 - 1e-9) & (edges[:16] <= 4.2 + 1e-9))
