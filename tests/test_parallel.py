@@ -288,6 +288,14 @@ def test_shared_step_appends_one_m_per_round(free_env, system):
     assert rec.per_step_m == [64, 64]  # free space: all 2^6 entries reachable
 
 
+def test_shared_step_rejects_wrong_pool_mode():
+    # The shared step is reached only through a pqrrt-shared config, which
+    # refuses a pool in another mode before any round runs.
+    pool = WorkerPool(p=2, mode="classical", seed_base=1)
+    with pytest.raises(ValueError, match="needs a worker pool in mode 'shared', got 'classical'"):
+        AlgorithmConfig(name="pqrrt-shared", pool=pool, n=4)
+
+
 # ---------------------------------------------------------------------------
 # Unshared rounds
 # ---------------------------------------------------------------------------
@@ -317,6 +325,12 @@ def test_single_unshared_worker_matches_sequential_planner(box_env, system):
     assert par.record.per_step_m == seq.record.per_step_m
     assert par.record.calls_amplification == seq.record.calls_amplification
     assert par.record.calls_finalizer == seq.record.calls_finalizer
+
+
+def test_unshared_step_rejects_wrong_pool_mode():
+    pool = WorkerPool(p=2, mode="shared", seed_base=1)
+    with pytest.raises(ValueError, match="needs a worker pool in mode 'unshared', got 'shared'"):
+        AlgorithmConfig(name="pqrrt-unshared", pool=pool, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +368,12 @@ def test_classical_round_exhausts_budget_when_blocked(sealed_root_env, system):
     assert summary.admitted_indices == ()
     assert rec.calls_classical == 4 * 3
     assert len(tree) == 1
+
+
+def test_classical_step_rejects_wrong_pool_mode():
+    pool = WorkerPool(p=2, mode="unshared", seed_base=1)
+    with pytest.raises(ValueError, match="needs a worker pool in mode 'classical', got 'unshared'"):
+        AlgorithmConfig(name="prrt", pool=pool)
 
 
 # ---------------------------------------------------------------------------
