@@ -29,13 +29,16 @@ uniform start.
 
 Oracle-call accounting: each iteration is one oracle call, tracked on the
 state. Measurement samples the Born rule and never changes what the state
-describes. A pooled round has p workers measure one state, so the first
-``measure`` stores the Born-rule CDF ``cumsum(amplitudes**2)`` on the state
-and every later call searches that same array: one O(2^n) pass per state
-instead of one per worker, at 8 bytes per amplitude for as long as the state
-lives. The amplitudes are then made read-only, so an in-place write cannot
-leave the stored CDF stale; ``amplify`` and ``grover_iterate`` never write
-to their input and return a fresh, writable state.
+describes. A pooled round has p workers measure one state in a row, so
+``measure`` keeps the Born-rule CDF ``cumsum(amplitudes**2)`` of the state it
+measured last, and every later call on that state searches the same array:
+one O(2^n) pass per state instead of one per worker. The module holds that
+one CDF, 8 bytes per amplitude, and only while its state lives; a state
+itself carries no CDF. A caller who alternates draws between two states
+rebuilds the CDF on every draw. The first draw makes the amplitudes
+read-only, so an in-place write cannot leave the cached CDF stale;
+``amplify`` and ``grover_iterate`` never write to their input and return a
+fresh, writable state.
 
 Edge cases follow the uniform-state algebra: m = 0 leaves the state untouched
 (the iteration still counts as an oracle call); m = N keeps the good
@@ -45,7 +48,8 @@ probability at exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,16 +89,15 @@ def _check_counts(n: int, m: int) -> tuple[int, int]:
 class AmplifiedState:
     """Real statevector plus the good-index mask and per-state call counters.
 
-    ``cdf`` is filled by the first ``measure`` and is not part of the
-    state's value: it takes no constructor argument and is left out of
-    ``repr`` and equality.
+    A state holds no Born-rule CDF: ``measure`` caches one for the state it
+    measured last, outside the state, so a draw leaves the state's value
+    and ``repr`` as they were and only makes its amplitudes read-only.
     """
 
     n: int
     amplitudes: np.ndarray  # float64, shape (2^n,)
     good_mask: np.ndarray  # bool, shape (2^n,)
     oracle_calls: int = 0
-    cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -210,19 +213,37 @@ def good_probability(n: int, m: int, k: int) -> float:
     return math.sin((2 * int(k) + 1) * theta) ** 2
 
 
+# (weak reference to the state measured last, its Born-rule CDF), or None.
+# One tuple, so a reader never pairs one state with another state's CDF.
+_last_cdf: tuple[weakref.ref, np.ndarray] | None = None
+
+
+def _drop_cdf(ref: weakref.ref) -> None:
+    """Free the cached CDF once its state is collected."""
+    global _last_cdf
+    entry = _last_cdf
+    if entry is not None and entry[0] is ref:
+        _last_cdf = None
+
+
 def measure(state: AmplifiedState, rng: np.random.Generator) -> int:
     """Born-rule sample of one basis index from one ``rng.random()`` draw.
 
-    The first call on a state builds its CDF, the same bits as
-    ``np.cumsum(state.amplitudes**2)``, stores it on the state and freezes
-    the amplitudes; later calls only search it.
+    A call on the state measured last searches its cached CDF. A call on any
+    other state builds that state's CDF, the same bits as
+    ``np.cumsum(state.amplitudes**2)``, freezes its amplitudes and caches
+    the CDF in place of the previous one.
     """
-    cdf = state.cdf
-    if cdf is None:
+    global _last_cdf
+    entry = _last_cdf
+    if entry is not None and entry[0]() is state:
+        cdf = entry[1]
+    else:
+        entry = _last_cdf = None  # free the previous CDF before building this one
         cdf = np.square(state.amplitudes)
         np.cumsum(cdf, out=cdf)
         state.amplitudes.flags.writeable = False
-        state.cdf = cdf
+        _last_cdf = (weakref.ref(state, _drop_cdf), cdf)
     u = rng.random() * cdf[-1]
     idx = int(np.searchsorted(cdf, u, side="right"))
     return min(idx, cdf.shape[0] - 1)

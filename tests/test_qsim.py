@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from conftest import wilson_hilferty_chi2_quantile
 
+from qrrt import qsim
 from qrrt.qsim import (
     MAX_DATABASE_QUBITS,
     AmplifiedState,
@@ -304,24 +307,58 @@ def _measure_rebuilding_cdf(state, rng):
 
 def test_repeated_measure_matches_a_cdf_rebuilt_per_call(rng):
     # A pool measures one state p times; every call after the first reuses
-    # the state's CDF and must pick what a rebuilt CDF picks, bit for bit.
-    for _ in range(40):
-        n = int(rng.integers(1, 13))
+    # the cached CDF and must pick what a rebuilt CDF picks, bit for bit,
+    # also when draws alternate between states, which rebuilds the cache.
+    for n in [*range(1, 17), *range(1, 17)]:
         good = mask(n, rng.choice(2**n, size=int(rng.integers(0, 2**n + 1)), replace=False))
         amps = rng.standard_normal(2**n)
         uniform = init_uniform(n, good)
+        amplified = amplify(init_uniform(n, good), int(rng.integers(1, 20)))
         states = [
             uniform,
             amplify(uniform, 0),  # the same object
             AmplifiedState(n=n, amplitudes=amps / np.linalg.norm(amps), good_mask=good),
-            amplify(init_uniform(n, good), int(rng.integers(1, 20))),
+            amplified,
+            dataclasses.replace(amplified),  # another object sharing the frozen amplitudes
         ]
-        for state in states:
-            seed = int(rng.integers(2**32))
-            ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            p = int(rng.integers(1, 17))
-            want = [_measure_rebuilding_cdf(state, ref_rng) for _ in range(p)]
-            assert [measure(state, got_rng) for _ in range(p)] == want
+        p = int(rng.integers(1, 17))
+        # p draws in a row from each state, then strict alternation between
+        # two states, then a random order over all of them.
+        order = [i for i in range(len(states)) for _ in range(p)]
+        order += [2, 3] * p + rng.integers(0, len(states), size=2 * p).tolist()
+        seed = int(rng.integers(2**32))
+        ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [_measure_rebuilding_cdf(states[i], ref_rng) for i in order]
+        assert [measure(states[i], got_rng) for i in order] == want
+
+
+def test_cached_cdf_is_freed_with_its_state(rng):
+    s = amplify(init_uniform(8, mask(8, [3])), 4)
+    measure(s, rng)
+    cdf = weakref.ref(qsim._last_cdf[1])
+    measure(s, rng)
+    assert cdf() is qsim._last_cdf[1]  # the second draw reused it
+    del s
+    assert cdf() is None and qsim._last_cdf is None
+
+
+def test_measured_states_hold_one_cdf_between_them(rng):
+    # Eight measured n = 16 states keep their amplitudes and masks alive;
+    # the only CDF left is that of the state measured last.
+    n = 16
+    tracemalloc.start()
+    try:
+        states = []
+        for i in range(8):
+            states.append(amplify(init_uniform(n, mask(n, [i, 100 + i])), 3))
+            for _ in range(4):
+                measure(states[-1], rng)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    state_bytes = sum(s.amplitudes.nbytes + s.good_mask.nbytes for s in states)
+    cdf_bytes = 8 * 2**n
+    assert state_bytes + cdf_bytes <= held < state_bytes + cdf_bytes + cdf_bytes // 4
 
 
 def test_measured_state_freezes_its_amplitudes(rng):
@@ -331,20 +368,19 @@ def test_measured_state_freezes_its_amplitudes(rng):
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
     # Evolving a measured state still gives a fresh, writable state.
-    nxt = amplify(s, 1)
-    assert nxt.cdf is None and nxt.amplitudes.flags.writeable
+    assert amplify(s, 1).amplitudes.flags.writeable
     assert amplify(s, 0) is s
 
 
 def test_state_cdf_is_not_part_of_its_value(rng):
     s = amplify(init_uniform(4, mask(4, [5])), 2)
     twin = dataclasses.replace(s)
+    before = repr(s)
     measure(s, rng)
-    assert s.cdf is not None and twin.cdf is None
-    assert s == twin
-    assert "cdf" not in repr(s)
+    assert not hasattr(s, "cdf")
+    assert s == twin and repr(s) == before
     with pytest.raises(TypeError):
-        AmplifiedState(n=4, amplitudes=s.amplitudes, good_mask=s.good_mask, cdf=s.cdf)
+        AmplifiedState(n=4, amplitudes=s.amplitudes, good_mask=s.good_mask, cdf=np.cumsum(s.amplitudes**2))
 
 
 def test_state_m_property():
