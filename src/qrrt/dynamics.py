@@ -23,11 +23,12 @@ call runs one dwindling tail of small steps rather than one per block.
 
 That tail is fused: once every row has joined, a step has run and two to
 _REACH_TAIL_ROWS rows are live, each steps its error recursion on to its
-capture or its horizon, and all their segments up to the capture go to one
-segments_free call. A row is reachable iff it captured within its horizon
-and all those segments are free, as in the step loop, which stops at the
-first blocked one instead. Results do not depend on the block size, the
-tail size or on which rows share a step.
+capture or its horizon in windows of at most _TAIL_WINDOW steps, and each
+window's segments up to the capture go to one segments_free call, which
+drops the rows it blocks. A row is reachable iff it captured within its
+horizon and all those segments are free, as in the step loop, which stops
+at the first blocked one instead. Results do not depend on the block size,
+the tail size, the window or on which rows share a step.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "UnstableGainError",
     "reachable",
     "reachable_batch",
-    "spectral_radius",
     "default_system",
     "system_from_config",
     "load_system",
@@ -73,30 +73,32 @@ UNSTABLE_EXAMPLE_GAIN = ((1.9, -7.5), (1.0, 7.0))
 _REACH_BLOCK_ROWS = 8192
 
 # Once every row has joined and a step has run, a queue of two to this many
-# live rows is finished by _tail with one segments_free call, rather than one
-# call per remaining step. On the 2000-obstacle annealing world a 512-row tag
+# live rows is finished by _tail with one segments_free call per window of
+# _TAIL_WINDOW steps, rather than one call per remaining step. On the 2000-obstacle annealing world a 512-row tag
 # has at most a few hundred rows left after its first step, so at 256 every
 # tag there ends in the tail after that step (at 64, a third of them took a
 # second step first, and the tag took 4% longer). A tail of 256 rows holds
-# at most 256 x horizon segments. A lone row stays in the step loop: it
+# at most 256 x _TAIL_WINDOW segments at a time. A lone row stays in the step loop: it
 # shares the tail's per-step cost with no other row, and on the 45-obstacle
 # slopes world most lone rows that survive their first segment are blocked
 # by their next one, where the loop stops at once.
 _REACH_TAIL_ROWS = 256
 
-# Longest tracking horizon: 20x the shipped 50. The fused tail holds rows x
-# steps-to-capture points, so at this cap 256 slow rows (rho = 0.999) that
-# capture near the last step peak at about 49 MiB traced; a horizon of 10^9
-# would let such rows grow the tail without bound.
+# Most steps the tail takes before one segments_free call tests their
+# segments. The shipped horizon of 50 fits in one window, so a tail there
+# still makes a single call; at the horizon cap, 256 slow rows (rho = 0.999)
+# that capture near the last step hold 256 x 65 points at a time instead of
+# 256 x 1001, and peak at about 3.3 MiB traced instead of 49 MiB.
+_TAIL_WINDOW = 64
+
+# Longest tracking horizon: 20x the shipped 50. Each step of a live row
+# costs a segment test, so a horizon of 10^9 would let slowly contracting
+# rows run a call for as long as that.
 MAX_HORIZON = 1000
 
 
 class UnstableGainError(ValueError):
     """Raised when A - B K has spectral radius >= 1."""
-
-
-def spectral_radius(m) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -170,31 +172,44 @@ def _captured(err: np.ndarray, rc2: float) -> np.ndarray:
 
 
 def _tail(env, a_cl, rc2, err, targets, x_prev, horizon) -> np.ndarray:
-    """The verdicts of the last few live rows, with one segments_free call.
+    """The verdicts of the last few live rows, one segments_free call per window.
 
     Each row steps its error recursion, with the arithmetic of the queue's
     steps, until it captures or has taken its remaining horizon[i] steps.
     It is reachable iff it captured and every segment up to the capture is
-    free, which is the queue's verdict: rows that collide first only test a
-    few segments more.
+    free, which is the queue's verdict. The steps run in windows of at most
+    _TAIL_WINDOW: one segments_free call tests a window's segments up to
+    each row's capture, and a row blocked there is dropped, so the points
+    held never exceed rows x (_TAIL_WINDOW + 1). Rows that collide first
+    only test a few segments more than the queue would.
     """
-    pending = np.ones(err.shape[0], dtype=bool)  # neither captured nor out of horizon
-    captured_at = np.zeros(err.shape[0], dtype=np.intp)  # 0: not captured
-    points = [x_prev]
-    k = 0
-    while pending.any():
-        k += 1
-        err = _advance(err, a_cl)
-        points.append(targets + err)
-        captured = pending & _captured(err, rc2)
-        captured_at[captured] = k
-        pending &= ~captured & (horizon > k)
-    # Segment j of row i, from points[j][i] to points[j + 1][i], has flat index j * rows + i.
-    flat = np.concatenate(points)
-    seg = np.flatnonzero(np.arange(k)[:, None] < captured_at)
-    free = segments_free(env, np.take(flat, seg, axis=0), np.take(flat, seg + err.shape[0], axis=0))
-    reach = captured_at > 0
-    reach[seg[~free] % err.shape[0]] = False
+    reach = np.zeros(err.shape[0], dtype=bool)
+    live = np.arange(err.shape[0])
+    k = 0  # steps taken before this window
+    while live.size:
+        rows = live.size
+        pending = np.ones(rows, dtype=bool)  # neither captured nor out of horizon
+        captured_at = np.zeros(rows, dtype=np.intp)  # 0: not captured in this window
+        points = [x_prev]
+        j = 0
+        while pending.any() and j < _TAIL_WINDOW:
+            j += 1
+            err = _advance(err, a_cl)
+            points.append(targets + err)
+            captured = pending & _captured(err, rc2)
+            captured_at[captured] = j
+            pending &= ~captured & (horizon > k + j)
+        k += j
+        # Segment i of row r, from points[i][r] to points[i + 1][r], has flat
+        # index i * rows + r; a pending row's segments all count.
+        flat = np.concatenate(points)
+        seg = np.flatnonzero(np.arange(j)[:, None] < np.where(pending, j, captured_at))
+        free = segments_free(env, np.take(flat, seg, axis=0), np.take(flat, seg + rows, axis=0))
+        clear = np.ones(rows, dtype=bool)
+        clear[seg[~free] % rows] = False
+        reach[live[clear & (captured_at > 0)]] = True
+        keep = clear & pending
+        live, err, targets, x_prev, horizon = (a[keep] for a in (live, err, targets, points[-1], horizon))
     return reach
 
 

@@ -20,7 +20,6 @@ from qrrt.dynamics import (
     load_system,
     reachable,
     reachable_batch,
-    spectral_radius,
     system_from_config,
 )
 
@@ -37,6 +36,10 @@ def eig2x2(m):
         return complex((tr + r) / 2), complex((tr - r) / 2)
     r = math.sqrt(-disc)
     return complex(tr / 2, r / 2), complex(tr / 2, -r / 2)
+
+
+def spectral_radius(m):
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
 def matmul2(m, v):
@@ -100,10 +103,11 @@ def test_horizon_is_capped():
     assert default_system(horizon=dynamics.MAX_HORIZON).horizon == 1000
 
 
-def test_tail_memory_is_bounded_at_the_horizon_cap():
-    # The fused tail holds rows x steps-to-capture points. A slow loop
-    # (rho = 0.999) with errors of 2.7 delta captures near step 993, so 256
-    # live tail rows on the slopes world hold nearly the full capped horizon.
+def test_tail_memory_is_bounded_at_the_horizon_cap(monkeypatch):
+    # A slow loop (rho = 0.999) with errors of 2.7 delta captures near step
+    # 993, so 256 live tail rows on the slopes world run nearly the full
+    # capped horizon. The tail holds one window of their points at a time:
+    # 3.3 MiB traced, where holding every step's points took 49 MiB.
     world = envmod.generate_random_env(cli._env_spec(cli.SLOPES_DEFAULTS), 1234)
     rng = np.random.default_rng(1234)
     samples = envmod.sample_uniform_batch(world, rng, 4096)
@@ -118,7 +122,9 @@ def test_tail_memory_is_bounded_at_the_horizon_cap():
     finally:
         tracemalloc.stop()
     assert reach.sum() > 128  # most rows ran their long trajectories to capture
-    assert peak <= 64 * 2**20, f"reachable_batch peaked at {peak / 2**20:.1f} MiB"
+    assert peak <= 4 * 2**20, f"reachable_batch peaked at {peak / 2**20:.1f} MiB"
+    monkeypatch.setattr(dynamics, "_TAIL_WINDOW", 10**9)  # one window: every step's points at once
+    np.testing.assert_array_equal(reachable_batch(world, slow, parents, targets), reach)
 
 
 def test_matrices_must_be_2x2():
@@ -298,7 +304,9 @@ def test_reachable_batch_streamed_rows_match_scalar_oracle(monkeypatch, rng, gai
     # Small blocks make rows join at different steps, so a fused tail holds
     # rows with different steps left; horizon 3 expires rows inside it. Tail
     # sizes: never (0, and 1, since a lone row stays in the loop), from two
-    # rows, from seven, and every row once all have joined (10**9).
+    # rows, from seven, and every row once all have joined (10**9). Tail
+    # windows of 1, 2 and 5 steps split a tail into windows whose pending
+    # rows carry on into the next one.
     spec = envmod.GeneratorSpec(bounds=(0.0, 0.0, 20.0, 20.0), obstacle_count=45, size_range=(1.5, 3.0), delta=0.4)
     env = envmod.generate_random_env(spec, 1234)
     sys = LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=gain, horizon=horizon)
@@ -309,7 +317,33 @@ def test_reachable_batch_streamed_rows_match_scalar_oracle(monkeypatch, rng, gai
         monkeypatch.setattr(dynamics, "_REACH_BLOCK_ROWS", block)
         for tail in (0, 1, 2, 7, 10**9):
             monkeypatch.setattr(dynamics, "_REACH_TAIL_ROWS", tail)
-            np.testing.assert_array_equal(reachable_batch(env, sys, parents, targets), expect, err_msg=f"{block} {tail}")
+            for window in (1, 2, 5, 64) if tail > 1 else (64,):
+                monkeypatch.setattr(dynamics, "_TAIL_WINDOW", window)
+                got = reachable_batch(env, sys, parents, targets)
+                np.testing.assert_array_equal(got, expect, err_msg=f"{block} {tail} {window}")
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.03], ids=["straight", "spiral"])
+def test_windowed_tail_matches_scalar_oracle(monkeypatch, box_env, rng, turn):
+    # Slow rows (rho = 0.985) on the box world capture within their horizon
+    # of 150 steps only from 4.83 or closer. Straight rows whose line crosses
+    # the central obstacle are blocked about 20 steps in, windows before
+    # they would capture; rows from farther away run out of horizon. Spiral
+    # rows turn 0.03 rad a step about their target, so a segment that did
+    # not start at the previous window's last point would cut the curve.
+    c, s = math.cos(turn), math.sin(turn)
+    sys = LinearSystem(a=0.985 * np.array([[c, -s], [s, c]]), b=np.eye(2), k=np.zeros((2, 2)), horizon=150)
+    parents = np.c_[rng.uniform(2.5, 3.5, 60), rng.uniform(3.0, 7.0, 60)]
+    targets = parents + np.c_[rng.uniform(2.0, 6.5, 60), rng.normal(0.0, 1.0, 60)]
+    expect = np.array([scalar_reachable(box_env, sys, p, t) for p, t in zip(parents, targets)])
+    assert 5 < expect.sum() < 55
+    if not turn:
+        crosses = np.array([not envmod.segment_free(box_env, p, t) for p, t in zip(parents, targets)])
+        in_reach = envmod.points_free(box_env, targets) & (np.hypot(*(targets - parents).T) <= 0.5 / 0.985**150)
+        assert (crosses & in_reach).sum() > 5 and (~crosses & ~in_reach).sum() > 5
+    for window in (1, 7, 64, 10**9):
+        monkeypatch.setattr(dynamics, "_TAIL_WINDOW", window)
+        np.testing.assert_array_equal(reachable_batch(box_env, sys, parents, targets), expect, err_msg=str(window))
 
 
 def test_reachable_deterministic(box_env, system):
