@@ -74,14 +74,15 @@ _REACH_BLOCK_ROWS = 8192
 
 # Once every row has joined and a step has run, a queue of two to this many
 # live rows is finished by _tail with one segments_free call per window of
-# _TAIL_WINDOW steps, rather than one call per remaining step. On the 2000-obstacle annealing world a 512-row tag
-# has at most a few hundred rows left after its first step, so at 256 every
-# tag there ends in the tail after that step (at 64, a third of them took a
-# second step first, and the tag took 4% longer). A tail of 256 rows holds
-# at most 256 x _TAIL_WINDOW segments at a time. A lone row stays in the step loop: it
-# shares the tail's per-step cost with no other row, and on the 45-obstacle
-# slopes world most lone rows that survive their first segment are blocked
-# by their next one, where the loop stops at once.
+# _TAIL_WINDOW steps, rather than one call per remaining step. On the
+# 2000-obstacle annealing world a 512-row tag has at most a few hundred rows
+# left after its first step, so at 256 every tag there ends in the tail
+# after that step (at 64, a third of them took a second step first, and the
+# tag took 4% longer). A tail of 256 rows holds at most 256 x _TAIL_WINDOW
+# segments at a time. A lone row stays in the step loop: it shares the
+# tail's per-step cost with no other row, and on the 45-obstacle slopes
+# world most lone rows that survive their first segment are blocked by their
+# next one, where the loop stops at once.
 _REACH_TAIL_ROWS = 256
 
 # Most steps the tail takes before one segments_free call tests their
