@@ -797,10 +797,13 @@ def _config_default(action: argparse.Action, value):
 
     argparse applies a flag's type only to text, so a JSON number would
     otherwise skip it: 2.5 for an integer flag must fail, as --p 2.5 does.
+    null stands for a flag's default only where that default is None.
     """
+    key = action.dest
+    if value is None and action.default is not None:
+        raise ConfigError(f"config key {key!r} must not be null")
     if value is None or action.type is None:
         return value
-    key = action.dest
     many = isinstance(action.nargs, int)
     if many != isinstance(value, list) or (many and len(value) != action.nargs):
         shape = f"a list of {action.nargs} values" if many else "a single value"

@@ -310,13 +310,16 @@ def system_from_config(cfg: dict) -> LinearSystem:
         k = cfg["K"]
     except KeyError as exc:
         raise ValueError(f"system config is missing key {exc}") from exc
-    return LinearSystem(
-        a=a,
-        b=b,
-        k=k,
-        horizon=cfg.get("horizon", 50),
-        capture_radius=cfg.get("capture_radius"),
-    )
+    try:
+        return LinearSystem(
+            a=a,
+            b=b,
+            k=k,
+            horizon=cfg.get("horizon", 50),
+            capture_radius=cfg.get("capture_radius"),
+        )
+    except TypeError as exc:  # a JSON value float() or int() cannot take, such as null or an object
+        raise ValueError(f"system config holds a value of the wrong type: {exc}") from exc
 
 
 def load_system(path) -> LinearSystem:

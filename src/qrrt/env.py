@@ -51,12 +51,58 @@ parallel branch puts the axis's interval at (-inf, inf). On both axes, then,
 tmin <= 1 <= tmax, so exit = 1 >= enter and the slab test reports a hit. The
 dense path, which carries the single-row calls, skips the certificate: there
 an extra point query would only add cost.
+
+Grid-path calls of many rows first consult an occupancy raster, a second
+tiling of the bounds into 256 x 256 cells with a summed-area table of its
+non-FREE cells (Crow, "Summed-area tables for texture mapping", SIGGRAPH
+1984), so the number of non-FREE cells in any box of cells costs four
+lookups. With g the raster's point -> cell map, pad the grid's segment box
+margin, and lo..hi an obstacle, a cell is
+
+* FREE when it lies outside g(lo) - 1 .. g(hi) + 1 for every obstacle: one
+  cell of margin around each obstacle's cells;
+* FULL when it lies inside g(lo + pad) + 1 .. g(hi - pad) - 1 for some
+  obstacle: its cells, less pad and then one cell on every side;
+* MIXED otherwise.
+
+Every verdict the raster gives is the exact test's, because g, like the
+grid's map, is monotone: p <= q on an axis implies g(p) <= g(q) there.
+
+* Points. A point in an obstacle has g(lo) <= g(p) <= g(hi), so its cell is
+  not FREE. A point p in a FULL cell has g(lo + pad) < g(p) < g(hi - pad),
+  so lo + pad < p < hi - pad on both axes: it lies inside the obstacle.
+  points_free decides FREE and FULL rows so, and only MIXED rows go on to
+  the grid.
+* Free segments. If every cell of a segment's padded box is FREE, no
+  obstacle meets that box, since an obstacle meeting it would share a cell
+  with it. The slab test reports no obstacle outside the padded box (the
+  premise of the grid's broadphase), so the segment is free.
+* Blocked segments. Let s = fl(a + fl(t d)) for t = 1/4, 1/2 or 3/4 lie in a
+  FULL cell. Then s lies at least 15/16 pad inside the obstacle (pad less
+  the rounding of lo + pad) and within pad/8 of the exact a + t d, while
+  fl(lo - a) and fl(hi - a) round by at most pad/16 (pad is 16 ulps of the
+  largest coordinate bound). So on an axis with d > 0, fl(lo - a) < t d <
+  fl(hi - a), hence t1 <= t <= t2 after the division, since rounding is
+  monotone and t is a float; d < 0 swaps t1 and t2; and d = 0 gives s = a,
+  inside the slab. On both axes tmin <= t <= tmax, so enter <= t <= exit
+  and the slab test reports a hit.
+
+segments_free settles free and blocked rows so after the endpoint
+certificate, and only the rest run the grid. Which path a call takes never
+changes a verdict, only its cost. The raster pays off on calls of many rows
+in worlds of large obstacles, so it is used on calls of at least
+_RASTER_MIN_ROWS rows in worlds whose raster leaves at most
+_RASTER_MAX_MIXED of its cells MIXED. It is built on the first call that
+qualifies, and the module holds one raster at a time, for the Environment
+that used one last, and only while that Environment lives; an Environment
+itself carries none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +222,23 @@ _FIRST_WAVE_PIECES = 2
 # many obstacles a world has.
 _MAX_CELLS_PER_AXIS = 256
 
+# The occupancy raster's cells per axis: 2^16 cells, about 0.33 MB with its
+# summed-area table.
+_RASTER_CELLS_PER_AXIS = 256
+
+# Grid-path calls of at least this many rows consult the raster first. Its
+# lookups cost every row of a call, and smaller calls, such as the flattened
+# tails of n = 8 planners, ran slower with it at 1024 rows.
+_RASTER_MIN_ROWS = 4096
+
+# Worlds whose raster leaves a larger share of its cells MIXED keep to the
+# grid alone: a MIXED row pays for the raster and the grid both. Measured on
+# tags of 2^12-2^14 rows: the bench slopes world 1234 (9% MIXED) ran 5%
+# faster with the raster and the bench annealing world 7 (54%) 7-17%
+# faster, while worlds of 4,000 and 6,000 obstacles about one raster cell
+# wide (59% and 74%) ran 4-6% slower.
+_RASTER_MAX_MIXED = 0.55
+
 
 def _boxes_overlap(box_lo, box_hi, lo, hi) -> np.ndarray:
     """Closed axis-aligned box overlap, elementwise over broadcast (..., 2) arrays."""
@@ -192,9 +255,10 @@ def _slab_hit(a, d, lo, hi) -> np.ndarray:
 
     Elementwise over broadcast (..., 2) arrays. Axis-parallel segments (zero
     direction component) degenerate to a containment test on that axis;
-    comparisons are closed so grazing contact counts as a hit.
+    comparisons are closed so grazing contact counts as a hit. A direction
+    component so small that a quotient overflows gives it as +-inf, its limit.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t1 = (lo - a) / d
         t2 = (hi - a) / d
     tmin = np.minimum(t1, t2)
@@ -215,36 +279,21 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(shift, counts) + np.arange(int(counts.sum()))
 
 
-class _Grid:
-    """Uniform grid over the bounds with a CSR cell -> obstacle table.
+class _Cells:
+    """A uniform tiling of the bounds into shape = (nx, ny) cells; cell (ix, iy) has id iy * nx + ix."""
 
-    Cell (ix, iy) has id iy * nx + ix; entries start[id]:start[id + 1] of
-    entries are the int32 indices of the obstacles reaching into it. Corners
-    are gathered from the obstacle array itself, so the table costs 4 bytes
-    an entry rather than 32.
-    """
-
-    def __init__(self, bounds: np.ndarray, obstacles: np.ndarray):
-        self.obstacles = obstacles  # the Environment's own (O, 4) array, not a copy
+    def __init__(self, bounds: np.ndarray, shape: np.ndarray):
         self.origin = bounds[:2]  # lower-left corner of the bounds
-        size = bounds[2:] - self.origin
-        side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
-        self.shape = np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp)  # (nx, ny)
-        self.cell = size / self.shape  # cell side per axis
-        self.top = (self.shape - 1).astype(float)  # highest cell coordinate per axis
+        self.shape = shape
+        self.cell = (bounds[2:] - self.origin) / shape  # cell side per axis
+        self.top = (shape - 1).astype(float)  # highest cell coordinate per axis
         # Segment box margin: a few ulps of the largest coordinate bound every
         # rounding error of the slab formula and of the segment pieces on
         # in-bounds segments, with margin to spare.
         self.pad = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(bounds))))
-        owner, cells = self.box_cells(obstacles[:, :2], obstacles[:, 2:])
-        # int32 offsets and indices: a table of 2^31 entries would need tens
-        # of GB of temporaries in box_cells before it overflowed.
-        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cells, minlength=self.start.size - 1), out=self.start[1:])
-        self.entries = owner[np.argsort(cells, kind="stable")].astype(np.int32)
 
     def cells(self, pts: np.ndarray) -> np.ndarray:
-        """(K, 2) cell coordinates of points, clipped to the grid.
+        """(K, 2) cell coordinates of points, clipped to the tiling.
 
         Monotone in each coordinate, so boxes that overlap share a cell.
         """
@@ -258,6 +307,27 @@ class _Grid:
             np.minimum(t, self.top[k], out=t)
             out[:, k] = t
         return out
+
+
+class _Grid(_Cells):
+    """Uniform grid over the bounds with a CSR cell -> obstacle table.
+
+    Entries start[id]:start[id + 1] of entries are the int32 indices of the
+    obstacles reaching into cell id. Corners are gathered from the obstacle
+    array itself, so the table costs 4 bytes an entry rather than 32.
+    """
+
+    def __init__(self, bounds: np.ndarray, obstacles: np.ndarray):
+        size = bounds[2:] - bounds[:2]
+        side = math.sqrt(size[0] * size[1] / obstacles.shape[0])
+        super().__init__(bounds, np.clip(np.ceil(size / side), 1, _MAX_CELLS_PER_AXIS).astype(np.intp))
+        self.obstacles = obstacles  # the Environment's own (O, 4) array, not a copy
+        owner, cells = self.box_cells(obstacles[:, :2], obstacles[:, 2:])
+        # int32 offsets and indices: a table of 2^31 entries would need tens
+        # of GB of temporaries in box_cells before it overflowed.
+        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cells, minlength=self.start.size - 1), out=self.start[1:])
+        self.entries = owner[np.argsort(cells, kind="stable")].astype(np.int32)
 
     def box_cells(self, box_lo: np.ndarray, box_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(box, cell id) for every cell every box reaches into."""
@@ -275,6 +345,100 @@ class _Grid:
         counts = np.take(self.start, cells + 1) - first
         owner = np.take(self.entries, _ranges(first, counts))
         return np.repeat(row, counts), np.take(self.obstacles, owner, axis=0)
+
+
+# Raster cell states.
+_FREE, _MIXED, _FULL = 0, 1, 2
+
+
+def _covered(shape: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(ny, nx) mask of the cells inside any of the inclusive cell boxes lo..hi, clipped to shape."""
+    lo = np.maximum(lo, 0)
+    hi = np.minimum(hi, shape - 1) + 1
+    keep = np.all(lo < hi, axis=1)
+    lo, hi = lo[keep], hi[keep]
+    # 2-D difference array: +1 at a box's lower and upper corners, -1 at its
+    # other two, and the running sums over both axes count the boxes per cell.
+    nx, ny = shape + 1
+    size = nx * ny
+    plus = np.bincount(np.concatenate([lo[:, 1] * nx + lo[:, 0], hi[:, 1] * nx + hi[:, 0]]), minlength=size)
+    minus = np.bincount(np.concatenate([lo[:, 1] * nx + hi[:, 0], hi[:, 1] * nx + lo[:, 0]]), minlength=size)
+    count = (plus - minus).reshape(ny, nx)
+    return count.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
+
+
+class _Raster(_Cells):
+    """FREE / MIXED / FULL cell states and a summed-area table of the non-FREE
+    cells (see the module docstring)."""
+
+    def __init__(self, bounds: np.ndarray, obstacles: np.ndarray):
+        super().__init__(bounds, np.full(2, _RASTER_CELLS_PER_AXIS, dtype=np.intp))
+        lo, hi = obstacles[:, :2], obstacles[:, 2:]
+        near = _covered(self.shape, self.cells(lo) - 1, self.cells(hi) + 1)
+        full = _covered(self.shape, self.cells(lo + self.pad) + 1, self.cells(hi - self.pad) - 1)
+        self.state = np.where(full, _FULL, np.where(near, _MIXED, _FREE)).astype(np.int8).ravel()
+        self.mixed_share = float(np.count_nonzero(self.state == _MIXED)) / self.state.size
+        nx, ny = self.shape
+        # sat[iy * (nx + 1) + ix]: non-FREE cells with both coordinates below (ix, iy).
+        sat = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+        np.cumsum(np.cumsum(near, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
+        self.sat = sat.ravel()
+
+    def states(self, pts: np.ndarray) -> np.ndarray:
+        cells = self.cells(pts)
+        return np.take(self.state, cells[:, 1] * self.shape[0] + cells[:, 0])
+
+    def settle(self, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(blocked, unsettled) row indices of segments a -> b, d = b - a; every other row is free.
+
+        A row is free when every cell of its padded box is FREE, and blocked
+        when its point at 1/4, 1/2 or 3/4 lies in a FULL cell.
+        """
+        lo = self.cells(np.minimum(a, b) - self.pad)
+        hi = self.cells(np.maximum(a, b) + self.pad) + 1
+        w = self.shape[0] + 1
+        sat = self.sat
+        near = (
+            np.take(sat, hi[:, 1] * w + hi[:, 0])
+            - np.take(sat, lo[:, 1] * w + hi[:, 0])
+            - np.take(sat, hi[:, 1] * w + lo[:, 0])
+            + np.take(sat, lo[:, 1] * w + lo[:, 0])
+        ).nonzero()[0]
+        a, d = np.take(a, near, axis=0), np.take(d, near, axis=0)
+        deep = np.zeros(near.size, dtype=bool)
+        for t in (0.25, 0.5, 0.75):
+            deep |= self.states(a + t * d) == _FULL
+        return near[deep], near[~deep]
+
+
+# (weak reference to the Environment rastered last, its raster or None when
+# its world is too mixed to use one), or None. Held here rather than on the
+# Environment, so the memory never grows with the number of live worlds.
+_last_raster: tuple[weakref.ref, _Raster | None] | None = None
+
+
+def _drop_raster(ref: weakref.ref) -> None:
+    """Free the held raster once its Environment is collected."""
+    global _last_raster
+    entry = _last_raster
+    if entry is not None and entry[0] is ref:
+        _last_raster = None
+
+
+def _raster(env: Environment, rows: int) -> _Raster | None:
+    """The raster for a grid-path call of this many rows, or None to use the grid alone.
+
+    Built on the first call that qualifies, in place of the one held before.
+    """
+    global _last_raster
+    if rows < _RASTER_MIN_ROWS:
+        return None
+    entry = _last_raster
+    if entry is None or entry[0]() is not env:
+        entry = _last_raster = None  # free the previous raster before building this one
+        raster = _Raster(env.bounds, env.obstacles)
+        entry = _last_raster = (weakref.ref(env, _drop_raster), raster if raster.mixed_share <= _RASTER_MAX_MIXED else None)
+    return entry[1]
 
 
 def _in_bounds(env: Environment, pts: np.ndarray) -> np.ndarray:
@@ -298,6 +462,11 @@ def points_free(env: Environment, points) -> np.ndarray:
         o = env.obstacles[None]
         return ok & ~_boxes_overlap(p, p, o[..., :2], o[..., 2:]).any(axis=1)
     rows = np.flatnonzero(ok)
+    raster = _raster(env, pts.shape[0])
+    if raster is not None:
+        state = raster.states(np.take(pts, rows, axis=0))
+        ok[rows[state == _FULL]] = False
+        rows = rows[state == _MIXED]
     cells = grid.cells(np.take(pts, rows, axis=0))
     row, rect = grid.pairs(rows, cells[:, 1] * grid.shape[0] + cells[:, 0])
     p = np.take(pts, row, axis=0)
@@ -358,6 +527,12 @@ def segments_free(env: Environment, a, b) -> np.ndarray:
     rows = np.flatnonzero(ok)
     a, b = np.take(a, rows, axis=0), np.take(b, rows, axis=0)
     d = b - a
+    raster = _raster(env, ok.size)
+    if raster is not None:
+        # Rows the raster settles (see the module docstring) skip the grid.
+        blocked, rest = raster.settle(a, b, d)
+        ok[rows[blocked]] = False
+        rows, a, b, d = rows[rest], *(np.take(x, rest, axis=0) for x in (a, b, d))
     # Cells spanned on the longer axis (per axis, as in _Grid.cells).
     span = np.maximum(np.abs(d[:, 0]) / grid.cell[0], np.abs(d[:, 1]) / grid.cell[1])
     hit = np.zeros(rows.size, dtype=bool)
@@ -560,3 +735,5 @@ def load_environment(path) -> Environment:
         )
     except KeyError as exc:
         raise ValueError(f"environment file {path} is missing key {exc}") from exc
+    except TypeError as exc:  # a JSON value float() or int() cannot take, such as null or a list
+        raise ValueError(f"environment file {path} holds a value of the wrong type: {exc}") from exc

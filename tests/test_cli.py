@@ -334,6 +334,23 @@ def test_plan_rejects_env_and_system_files_that_are_not_objects(tmp_path, capsys
     assert err.count("must hold a JSON object") == 2 and "Traceback" not in err
 
 
+def test_plan_rejects_env_and_system_values_of_the_wrong_type(tmp_path, capsys):
+    env_path = gen_env(tmp_path)
+    good_env = json.loads(env_path.read_text())
+    good_sys = json.loads((Path(__file__).parent.parent / "configs" / "system_default.json").read_text())
+    cases = [("env", {"delta": None}), ("env", {"delta": [1]}), ("env", {"x0": {"a": 1}}), ("env", {"seed": None})]
+    cases += [("sys", {"horizon": None}), ("sys", {"K": {"x": 1}})]
+    for i, (kind, change) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps({**(good_env if kind == "env" else good_sys), **change}))
+        files = (bad, ()) if kind == "env" else (env_path, ("--sys", str(bad)))
+        out = tmp_path / f"out{i}"
+        assert main(plan_args(files[0], out, "rrt", *files[1])) == 1, change
+        err = capsys.readouterr().err
+        assert f"bad {'environment' if kind == 'env' else 'system'} file" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
 def test_plan_blocked_output_path_is_io_error(tmp_path):
     env_path = gen_env(tmp_path)
     blocker = tmp_path / "blocker"
@@ -745,6 +762,9 @@ def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
         ({"bounds": [0, 0, 10]}, ["gen-env", "--seed", "1", "--out", str(world)]),
         ({"delta": [0.5]}, ["gen-env", "--seed", "1", "--out", str(world)]),
         ({"trials": "3e3"}, ["analyze", "--seed", "1", "--out", str(tmp_path / "a.csv")]),
+        ({"trials": None}, ["analyze", "--seed", "1", "--out", str(tmp_path / "a.csv")]),
+        ({"delta": None}, ["gen-env", "--seed", "1", "--out", str(world)]),
+        ({"schedule": None}, plan),
     ]
     for cfg_values, argv in cases:
         cfg = tmp_path / "cfg.json"

@@ -409,3 +409,11 @@ def test_load_system_missing_key(tmp_path):
     path.write_text(json.dumps({"A": [[1, 0], [0, 1]]}))
     with pytest.raises(ValueError):
         load_system(path)
+
+
+@pytest.mark.parametrize("field, value", [("horizon", None), ("K", {"x": 1}), ("capture_radius", [1])])
+def test_system_config_rejects_values_of_the_wrong_type(field, value):
+    cfg = {"A": [list(r) for r in DEFAULT_A], "B": [list(r) for r in DEFAULT_B], "K": [list(r) for r in DEFAULT_GAIN]}
+    cfg[field] = value
+    with pytest.raises(ValueError, match="wrong type"):
+        system_from_config(cfg)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +341,13 @@ def _wave_segments(env, rng):
 
 LIMITS = ("_DENSE_MAX_SEGMENT_PAIRS", "_DENSE_MAX_POINT_PAIRS")
 
+
+def _use_raster(monkeypatch, on):
+    """Send every grid-path call through the occupancy raster first, or none."""
+    monkeypatch.setattr(envmod, "_last_raster", None)
+    monkeypatch.setattr(envmod, "_RASTER_MIN_ROWS", 0 if on else math.inf)
+    monkeypatch.setattr(envmod, "_RASTER_MAX_MIXED", 1.0)
+
 # First wave widths: one piece, the shipped two, and more pieces than any
 # in-bounds segment has, which tests every piece in one wave.
 FIRST_WAVES = (1, 2, 10**6)
@@ -366,13 +374,16 @@ def test_grid_broadphase_matches_dense_reference(count, seed, split_min_cells, m
 
     for limit in LIMITS:
         monkeypatch.setattr(envmod, limit, 0)
-    assert np.array_equal(points_free(env, pts), dense(points_free, pts))
+    expect_pts = dense(points_free, pts)
     expect = dense(segments_free, a, b)
-    # Waves run on the split path alone.
-    for first_wave in FIRST_WAVES if split_min_cells == 0 else (2,):
-        monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
-        assert np.array_equal(segments_free(env, a, b), expect), first_wave
-    assert not segments_free(env, a + 1e6, b + 1e6).any()
+    for raster in (False, True):
+        _use_raster(monkeypatch, raster)
+        assert np.array_equal(points_free(env, pts), expect_pts), raster
+        # Waves run on the split path alone.
+        for first_wave in FIRST_WAVES if split_min_cells == 0 else (2,):
+            monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
+            assert np.array_equal(segments_free(env, a, b), expect), (raster, first_wave)
+        assert not segments_free(env, a + 1e6, b + 1e6).any()
     # The probes must exercise both outcomes.
     assert count == 0 or 0 < expect.mean() < 1
 
@@ -409,7 +420,8 @@ def _boundary_ends(env, rng):
 def test_grid_segments_match_slab_reference_at_obstacle_boundaries(world, monkeypatch):
     # Segments ending on, just inside and just outside obstacle boundaries,
     # from random, axis-parallel, coincident and one-ulp-away starts, must get
-    # exactly the verdict of the dense slab test on the grid path.
+    # exactly the verdict of the dense slab test on the grid path, with and
+    # without the occupancy raster.
     spec, seed = RECIPE_WORLDS[world]
     env = generate_random_env(spec, seed)
     rng = np.random.default_rng(seed)
@@ -433,13 +445,140 @@ def test_grid_segments_match_slab_reference_at_obstacle_boundaries(world, monkey
     hit = _dense_hits(env, a, b)
     for limit in LIMITS:
         monkeypatch.setattr(envmod, limit, 0)
-    for split_min_cells, first_wave in [(math.inf, 2)] + [(0, w) for w in FIRST_WAVES]:
-        monkeypatch.setattr(envmod, "_SPLIT_MIN_CELLS", split_min_cells)
-        monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
-        got = segments_free(env, a, b)
-        np.testing.assert_array_equal(got, inside & ~hit)
+    for raster in (False, True):
+        _use_raster(monkeypatch, raster)
+        for split_min_cells, first_wave in [(math.inf, 2)] + [(0, w) for w in FIRST_WAVES]:
+            monkeypatch.setattr(envmod, "_SPLIT_MIN_CELLS", split_min_cells)
+            monkeypatch.setattr(envmod, "_FIRST_WAVE_PIECES", first_wave)
+            got = segments_free(env, a, b)
+            np.testing.assert_array_equal(got, inside & ~hit)
     # Both verdicts occur among segments ending on a boundary.
     assert 0 < got[: 4 * n].mean() < 1
+
+
+def _raster_edges(env, rng):
+    """Points on the occupancy raster's cell edges where FULL cells start and
+    end, on the edges of the one-cell margin around them, and on random cell
+    corners; each exact and 1-3 ulps off."""
+    raster = envmod._Raster(env.bounds, env.obstacles)
+    o = env.obstacles[rng.permutation(env.obstacles.shape[0])[:60]]
+    first = raster.cells(o[:, :2] + raster.pad) + 1  # first FULL cell
+    last = raster.cells(o[:, 2:] - raster.pad)  # one past the last FULL cell
+    near_lo, near_hi = raster.cells(o[:, :2]) - 1, raster.cells(o[:, 2:]) + 2  # the FREE margin's outer edges
+    along = rng.random((o.shape[0], 1))
+    mid = raster.cells(o[:, :2] + along * (o[:, 2:] - o[:, :2]))
+    edges = []
+    for ix in (first, last, near_lo, near_hi):
+        # On an x edge at a y inside the obstacle, on a y edge likewise, and on the corner.
+        edges += [np.column_stack([ix[:, 0], mid[:, 1]]), np.column_stack([mid[:, 0], ix[:, 1]]), ix]
+    edges.append(rng.integers(0, raster.shape + 1, (200, 2)))
+    pts = raster.origin + np.vstack(edges) * raster.cell
+    pts = np.clip(pts, env.bounds[:2], env.bounds[2:])
+    return raster, np.vstack([pts, _nudge(pts, rng), _nudge(pts, rng)])
+
+
+EDGE_WORLDS = {
+    **RECIPE_WORLDS,
+    # Offset, non-square bounds holding 0 on both axes, with obstacles across both axes.
+    "offset-40": (GeneratorSpec(bounds=(-7.5, -3.0, 21.0, 9.0), obstacle_count=40, size_range=(0.8, 4.0), delta=0.3), 40),
+}
+
+
+@pytest.mark.parametrize("world", sorted(EDGE_WORLDS))
+def test_raster_verdicts_match_slab_reference_on_raster_edges(world, monkeypatch):
+    # Points and segment samples on raster cell edges and on the edges of the
+    # FULL cells and their margins, segment boxes ending there, axis-parallel
+    # segments, direction components of 1e-300 and 5e-324, and segments
+    # nearly the world's length must all get the dense reference's verdict.
+    spec, seed = EDGE_WORLDS[world]
+    env = generate_random_env(spec, seed)
+    rng = np.random.default_rng(seed)
+    _use_raster(monkeypatch, True)
+    for limit in LIMITS:
+        monkeypatch.setattr(envmod, limit, 0)
+    raster, pts = _raster_edges(env, rng)
+    n = pts.shape[0]
+    lo, hi = env.bounds[:2], env.bounds[2:]
+    heading = rng.normal(size=(n, 2)) * rng.choice([0.01, 0.2, 2.0], (n, 1))
+    starts, ends = [], []
+    # A sample at t lands on the point: a + t (b - a) with a = p - t v, b = p + (1 - t) v.
+    for t in (0.25, 0.5, 0.75):
+        starts.append(pts - t * heading)
+        ends.append(pts + (1.0 - t) * heading)
+    # Padded boxes with a corner on the point.
+    starts += [pts + raster.pad, pts - raster.pad]
+    ends += [pts + raster.pad + np.abs(heading), pts - raster.pad - np.abs(heading)]
+    # Axis-parallel rows through the point, and rows nearly the world's length.
+    for k in (0, 1):
+        a, b = pts.copy(), pts.copy()
+        a[:, k], b[:, k] = lo[k], hi[k]
+        starts.append(a)
+        ends.append(b)
+    far = np.where(pts < 0.5 * (lo + hi), hi, lo)
+    starts += [pts, lo + 0.0 * pts]
+    ends += [far, hi + 0.0 * pts]
+    # Direction components of 1e-300 and of the least subnormal, about x = 0 and y = 0.
+    for k in (0, 1):
+        for tiny in (1e-300, 5e-324):
+            a, b = pts.copy(), pts.copy()
+            a[:, k], b[:, k] = 0.0, tiny
+            b[:, 1 - k] = rng.uniform(lo[1 - k], hi[1 - k], n)
+            starts.append(a)
+            ends.append(b)
+    a, b = np.vstack(starts), np.vstack(ends)
+    inside = ((a >= lo) & (a <= hi) & (b >= lo) & (b <= hi)).all(axis=1)
+    expect = inside & ~_dense_hits(env, a, b)
+    np.testing.assert_array_equal(segments_free(env, a, b), expect)
+    np.testing.assert_array_equal(segments_free(env, b, a), expect)
+    in_pts = ((pts >= lo) & (pts <= hi)).all(axis=1)
+    hit_pts = ((pts[:, None] >= env.obstacles[None, :, :2]) & (pts[:, None] <= env.obstacles[None, :, 2:])).all(-1).any(1)
+    np.testing.assert_array_equal(points_free(env, pts), in_pts & ~hit_pts)
+    # The raster settles rows both ways here, and its states all occur.
+    blocked, rest = raster.settle(a[inside], b[inside], b[inside] - a[inside])
+    assert 0 < blocked.size and rest.size < inside.sum() - blocked.size
+    assert set(np.unique(raster.states(pts[in_pts]))) == {envmod._FREE, envmod._MIXED, envmod._FULL}
+
+
+def test_raster_is_chosen_by_call_size_and_world(monkeypatch):
+    monkeypatch.setattr(envmod, "_last_raster", None)
+    slopes, annealing, tiny = (
+        generate_random_env(*RECIPE_WORLDS["slopes-1234"]),
+        generate_random_env(*RECIPE_WORLDS["annealing-7"]),
+        generate_random_env(GeneratorSpec(bounds=(0.0, 0.0, 30.0, 30.0), obstacle_count=4000, size_range=(0.05, 0.15), delta=0.2), 7),
+    )
+    rows = envmod._RASTER_MIN_ROWS
+    assert envmod._raster(slopes, rows - 1) is None and envmod._last_raster is None
+    assert envmod._raster(slopes, rows).mixed_share < 0.1
+    assert envmod._raster(annealing, rows).mixed_share < envmod._RASTER_MAX_MIXED
+    # A world of obstacles about one raster cell wide leaves most cells MIXED.
+    assert envmod._raster(tiny, rows) is None
+    assert envmod._last_raster[0]() is tiny
+
+
+def test_one_raster_is_held_and_freed_with_its_environment(monkeypatch):
+    monkeypatch.setattr(envmod, "_last_raster", None)
+    world = generate_random_env(*RECIPE_WORLDS["slopes-1234"])
+    rng = np.random.default_rng(3)
+    a = sample_uniform_batch(world, rng, envmod._RASTER_MIN_ROWS)
+    b = a + rng.normal(0.0, 0.3, a.shape)
+    tracemalloc.start()
+    try:
+        envs = []
+        for _ in range(4):
+            envs.append(Environment(bounds=world.bounds, obstacles=world.obstacles, x0=world.x0, xG=world.xG, delta=world.delta))
+            segments_free(envs[-1], a, b)
+            points_free(envs[-1], b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ref, raster = envmod._last_raster
+    assert ref() is envs[-1]
+    raster_bytes = raster.state.nbytes + raster.sat.nbytes
+    # Four worlds with their grids hold well under half a raster more.
+    assert raster_bytes <= held < 1.5 * raster_bytes, (held, raster_bytes)
+    freed = weakref.ref(raster)
+    del raster, ref, envs
+    assert freed() is None and envmod._last_raster is None
 
 
 def test_grid_holds_little_beyond_the_obstacles():
@@ -663,4 +802,15 @@ def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"bounds": [0, 0, 1, 1]}))
     with pytest.raises(ValueError, match="missing key"):
+        load_environment(path)
+
+
+@pytest.mark.parametrize("field, value", [("delta", None), ("delta", [1]), ("x0", {"a": 1}), ("seed", None)])
+def test_load_rejects_values_of_the_wrong_type(tmp_path, box_env, field, value):
+    path = tmp_path / "env.json"
+    save_environment(box_env, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="wrong type"):
         load_environment(path)
