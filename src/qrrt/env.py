@@ -361,10 +361,12 @@ def _covered(shape: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # other two, and the running sums over both axes count the boxes per cell.
     nx, ny = shape + 1
     size = nx * ny
-    plus = np.bincount(np.concatenate([lo[:, 1] * nx + lo[:, 0], hi[:, 1] * nx + hi[:, 0]]), minlength=size)
-    minus = np.bincount(np.concatenate([lo[:, 1] * nx + hi[:, 0], hi[:, 1] * nx + lo[:, 0]]), minlength=size)
-    count = (plus - minus).reshape(ny, nx)
-    return count.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
+    count = np.bincount(np.concatenate([lo[:, 1] * nx + lo[:, 0], hi[:, 1] * nx + hi[:, 0]]), minlength=size)
+    count -= np.bincount(np.concatenate([lo[:, 1] * nx + hi[:, 0], hi[:, 1] * nx + lo[:, 0]]), minlength=size)
+    count = count.reshape(ny, nx)
+    np.cumsum(count, axis=0, out=count)
+    np.cumsum(count, axis=1, out=count)
+    return count[:-1, :-1] > 0
 
 
 class _Raster(_Cells):
@@ -375,8 +377,8 @@ class _Raster(_Cells):
         super().__init__(bounds, np.full(2, _RASTER_CELLS_PER_AXIS, dtype=np.intp))
         lo, hi = obstacles[:, :2], obstacles[:, 2:]
         near = _covered(self.shape, self.cells(lo) - 1, self.cells(hi) + 1)
-        full = _covered(self.shape, self.cells(lo + self.pad) + 1, self.cells(hi - self.pad) - 1)
-        self.state = np.where(full, _FULL, np.where(near, _MIXED, _FREE)).astype(np.int8).ravel()
+        self.state = np.where(near, np.int8(_MIXED), np.int8(_FREE)).ravel()
+        self.state[_covered(self.shape, self.cells(lo + self.pad) + 1, self.cells(hi - self.pad) - 1).ravel()] = _FULL
         self.mixed_share = float(np.count_nonzero(self.state == _MIXED)) / self.state.size
         nx, ny = self.shape
         # sat[iy * (nx + 1) + ix]: non-FREE cells with both coordinates below (ix, iy).
@@ -385,6 +387,7 @@ class _Raster(_Cells):
         self.sat = sat.ravel()
 
     def states(self, pts: np.ndarray) -> np.ndarray:
+        """The state of each point's cell."""
         cells = self.cells(pts)
         return np.take(self.state, cells[:, 1] * self.shape[0] + cells[:, 0])
 
