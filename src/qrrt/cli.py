@@ -797,13 +797,10 @@ def _config_default(action: argparse.Action, value):
 
     argparse applies a flag's type only to text, so a JSON number would
     otherwise skip it: 2.5 for an integer flag must fail, as --p 2.5 does.
-    null stands for a flag's default only where that default is None.
     """
-    key = action.dest
-    if value is None and action.default is not None:
-        raise ConfigError(f"config key {key!r} must not be null")
     if value is None or action.type is None:
         return value
+    key = action.dest
     many = isinstance(action.nargs, int)
     if many != isinstance(value, list) or (many and len(value) != action.nargs):
         shape = f"a list of {action.nargs} values" if many else "a single value"
@@ -823,21 +820,28 @@ def main(argv=None) -> int:
     try:
         argv, cfg = _extract_config(list(argv))
         parser = _build_parser()
+        nulls: dict[str, list[str]] = {}
         if cfg:
             # Config entries become per-subcommand defaults, so an explicit
             # flag still wins. Applying them on the subparsers (not the root
             # parser) keeps that layering on every argparse version.
-            subparsers = parser._subparsers._group_actions[0].choices.values()
+            subparsers = parser._subparsers._group_actions[0].choices
             known: set[str] = set()
-            for sp in subparsers:
+            for name, sp in subparsers.items():
                 relevant = {a.dest: _config_default(a, cfg[a.dest]) for a in sp._actions if a.dest in cfg}
                 known |= set(relevant)
+                # null stands for a flag's default only where that default is
+                # None; checked below for the subcommand that runs.
+                nulls[name] = [a.dest for a in sp._actions if a.dest in cfg and cfg[a.dest] is None and a.default is not None]
                 if relevant:
                     sp.set_defaults(**relevant)
             unknown = set(cfg) - known
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         args = parser.parse_args(argv)
+        for key in nulls.get(args.command, ()):
+            if getattr(args, key) is None:
+                raise ConfigError(f"config key {key!r} must not be null")
         _check_seeds(args)
         return args.func(args)
     except (ConfigError, dynamics.UnstableGainError) as exc:

@@ -91,9 +91,7 @@ segments_free settles free and blocked rows so after the endpoint
 certificate, and only the rest run the grid. Which path a call takes never
 changes a verdict, only its cost. The raster pays off on calls of many rows
 in worlds of large obstacles, so it is used on calls of at least
-_RASTER_MIN_ROWS rows in worlds whose raster leaves at most
-_RASTER_MAX_MIXED of its cells MIXED. It is built on the first call that
-qualifies, and the module holds one raster at a time, for the Environment
+_RASTER_MIN_ROWS rows. It is built on the first call that qualifies, and the module holds one raster at a time, for the Environment
 that used one last, and only while that Environment lives; an Environment
 itself carries none.
 """
@@ -230,14 +228,6 @@ _RASTER_CELLS_PER_AXIS = 256
 # lookups cost every row of a call, and smaller calls, such as the flattened
 # tails of n = 8 planners, ran slower with it at 1024 rows.
 _RASTER_MIN_ROWS = 4096
-
-# Worlds whose raster leaves a larger share of its cells MIXED keep to the
-# grid alone: a MIXED row pays for the raster and the grid both. Measured on
-# tags of 2^12-2^14 rows: the bench slopes world 1234 (9% MIXED) ran 5%
-# faster with the raster and the bench annealing world 7 (54%) 7-17%
-# faster, while worlds of 4,000 and 6,000 obstacles about one raster cell
-# wide (59% and 74%) ran 4-6% slower.
-_RASTER_MAX_MIXED = 0.55
 
 
 def _boxes_overlap(box_lo, box_hi, lo, hi) -> np.ndarray:
@@ -379,7 +369,6 @@ class _Raster(_Cells):
         near = _covered(self.shape, self.cells(lo) - 1, self.cells(hi) + 1)
         self.state = np.where(near, np.int8(_MIXED), np.int8(_FREE)).ravel()
         self.state[_covered(self.shape, self.cells(lo + self.pad) + 1, self.cells(hi - self.pad) - 1).ravel()] = _FULL
-        self.mixed_share = float(np.count_nonzero(self.state == _MIXED)) / self.state.size
         nx, ny = self.shape
         # sat[iy * (nx + 1) + ix]: non-FREE cells with both coordinates below (ix, iy).
         sat = np.zeros((ny + 1, nx + 1), dtype=np.int32)
@@ -414,10 +403,10 @@ class _Raster(_Cells):
         return near[deep], near[~deep]
 
 
-# (weak reference to the Environment rastered last, its raster or None when
-# its world is too mixed to use one), or None. Held here rather than on the
-# Environment, so the memory never grows with the number of live worlds.
-_last_raster: tuple[weakref.ref, _Raster | None] | None = None
+# (weak reference to the Environment rastered last, its raster), or None.
+# Held here rather than on the Environment, so the memory never grows with
+# the number of live worlds.
+_last_raster: tuple[weakref.ref, _Raster] | None = None
 
 
 def _drop_raster(ref: weakref.ref) -> None:
@@ -439,8 +428,7 @@ def _raster(env: Environment, rows: int) -> _Raster | None:
     entry = _last_raster
     if entry is None or entry[0]() is not env:
         entry = _last_raster = None  # free the previous raster before building this one
-        raster = _Raster(env.bounds, env.obstacles)
-        entry = _last_raster = (weakref.ref(env, _drop_raster), raster if raster.mixed_share <= _RASTER_MAX_MIXED else None)
+        entry = _last_raster = (weakref.ref(env, _drop_raster), _Raster(env.bounds, env.obstacles))
     return entry[1]
 
 

@@ -788,6 +788,23 @@ def test_config_values_of_the_right_type_are_accepted(tmp_path):
     assert by_config.read_text() == by_flags.read_text()
 
 
+def test_config_null_keeps_bench_recipe_defaults(tmp_path, capsys):
+    # analyze --trials and plan --n default to numbers, so null is refused
+    # there; bench's own --trials and --n default to None, and null there
+    # leaves the recipe's default, as if the key were absent.
+    cases = [
+        ({"trials": None}, ["heatmap", "--seed-base", "77", "--cutoff", "1", "--n", "5"]),
+        ({"n": None}, ["slopes", "--seed-base", "1234", "--envs", "1", "--target-nodes", "2"]),
+    ]
+    cfg = tmp_path / "cfg.json"
+    for i, (cfg_values, argv) in enumerate(cases):
+        cfg.write_text(json.dumps(cfg_values))
+        assert main(["--config", str(cfg), "bench", *argv, "--out", str(tmp_path / f"cfg{i}")]) == 0, cfg_values
+        by_config = capsys.readouterr().out
+        assert main(["bench", *argv, "--out", str(tmp_path / f"flags{i}")]) == 0
+        assert by_config == capsys.readouterr().out != ""
+
+
 def test_malformed_and_missing_config_rejected(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -346,7 +346,7 @@ def _use_raster(monkeypatch, on):
     """Send every grid-path call through the occupancy raster first, or none."""
     monkeypatch.setattr(envmod, "_last_raster", None)
     monkeypatch.setattr(envmod, "_RASTER_MIN_ROWS", 0 if on else math.inf)
-    monkeypatch.setattr(envmod, "_RASTER_MAX_MIXED", 1.0)
+
 
 # First wave widths: one piece, the shipped two, and more pieces than any
 # in-bounds segment has, which tests every piece in one wave.
@@ -539,20 +539,14 @@ def test_raster_verdicts_match_slab_reference_on_raster_edges(world, monkeypatch
     assert set(np.unique(raster.states(pts[in_pts]))) == {envmod._FREE, envmod._MIXED, envmod._FULL}
 
 
-def test_raster_is_chosen_by_call_size_and_world(monkeypatch):
+def test_raster_is_chosen_by_call_size(monkeypatch):
     monkeypatch.setattr(envmod, "_last_raster", None)
-    slopes, annealing, tiny = (
-        generate_random_env(*RECIPE_WORLDS["slopes-1234"]),
-        generate_random_env(*RECIPE_WORLDS["annealing-7"]),
-        generate_random_env(GeneratorSpec(bounds=(0.0, 0.0, 30.0, 30.0), obstacle_count=4000, size_range=(0.05, 0.15), delta=0.2), 7),
-    )
+    slopes = generate_random_env(*RECIPE_WORLDS["slopes-1234"])
     rows = envmod._RASTER_MIN_ROWS
     assert envmod._raster(slopes, rows - 1) is None and envmod._last_raster is None
-    assert envmod._raster(slopes, rows).mixed_share < 0.1
-    assert envmod._raster(annealing, rows).mixed_share < envmod._RASTER_MAX_MIXED
-    # A world of obstacles about one raster cell wide leaves most cells MIXED.
-    assert envmod._raster(tiny, rows) is None
-    assert envmod._last_raster[0]() is tiny
+    raster = envmod._raster(slopes, rows)
+    assert raster is not None and envmod._last_raster[0]() is slopes
+    assert envmod._raster(slopes, rows) is raster
 
 
 def test_one_raster_is_held_and_freed_with_its_environment(monkeypatch):
