@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, points_free, segments_free
+from .env import Environment, _as_floats, _as_number, points_free, segments_free
 
 __all__ = [
     "LinearSystem",
@@ -103,7 +103,7 @@ class UnstableGainError(ValueError):
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
+    arr = _as_floats(m, name)
     if arr.shape != (2, 2) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be a finite 2x2 matrix, got {arr!r}")
     return arr
@@ -128,9 +128,11 @@ class LinearSystem:
         a = _as_matrix(self.a, "A")
         b = _as_matrix(self.b, "B")
         k = _as_matrix(self.k, "K")
-        if not (1 <= int(self.horizon) <= MAX_HORIZON):
+        horizon = _as_number(self.horizon, "horizon", integral=True)
+        if not (1 <= horizon <= MAX_HORIZON):
             raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {self.horizon}")
-        if self.capture_radius is not None and not (float(self.capture_radius) > 0):
+        capture_radius = None if self.capture_radius is None else _as_number(self.capture_radius, "capture_radius")
+        if capture_radius is not None and not capture_radius > 0:
             raise ValueError(f"capture_radius must be positive, got {self.capture_radius}")
         a_cl = a - b @ k
         eigs = np.linalg.eigvals(a_cl)
@@ -145,10 +147,8 @@ class LinearSystem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(
-            self, "capture_radius", None if self.capture_radius is None else float(self.capture_radius)
-        )
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "capture_radius", capture_radius)
         # Derived attribute, set past the frozen guard; not a dataclass field.
         object.__setattr__(self, "a_cl", a_cl)
         for arr in (a, b, k, a_cl):
@@ -162,10 +162,22 @@ def _capture_radius(env: Environment, sys: LinearSystem) -> float:
 def _advance(err: np.ndarray, a_cl: np.ndarray) -> np.ndarray:
     """One step of the error recursion for every row: e @ (A - B K)^T.
 
-    Written out per row from the columns of A - B K, because a matmul rounds
-    a lone row differently from the same row in a batch.
+    Written out per row from the entries of A - B K, because a matmul rounds
+    a lone row differently from the same row in a batch: output column c is
+    e0 * a_cl[c, 0] + e1 * a_cl[c, 1], one column at a time, since numpy
+    loops over a (K, 2) array broadcast against a (2,) one two elements at a
+    time.
     """
-    return err[:, :1] * a_cl[:, 0] + err[:, 1:] * a_cl[:, 1]
+    (a00, a01), (a10, a11) = a_cl.tolist()
+    e0, e1 = err[:, 0], err[:, 1]
+    out = np.empty_like(err)
+    x = out[:, 0]
+    np.multiply(e0, a00, out=x)
+    x += e1 * a01
+    y = out[:, 1]
+    np.multiply(e0, a10, out=y)
+    y += e1 * a11
+    return out
 
 
 def _captured(err: np.ndarray, rc2: float) -> np.ndarray:

@@ -126,17 +126,49 @@ class EnvGenerationError(RuntimeError):
     """Raised when random environment generation cannot satisfy its spec."""
 
 
-def _as_rect(r) -> np.ndarray:
-    rect = np.asarray(r, dtype=float).reshape(4)
+def _holds_bool(value) -> bool:
+    """Whether value is a boolean, or an array or (nested) list holding one."""
+    if isinstance(value, (bool, np.bool_)):
+        return True
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool
+    return isinstance(value, (list, tuple)) and any(_holds_bool(v) for v in value)
+
+
+def _as_floats(value, name: str) -> np.ndarray:
+    """value as a float array; booleans, which float() would read as 0 and 1, are refused."""
+    if _holds_bool(value):
+        raise ValueError(f"{name} must hold numbers, not booleans, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _as_number(value, name: str, integral: bool = False) -> float | int:
+    """A scalar as a float, or as an int when integral; booleans and, for
+    integral fields, numbers with a fractional part are refused rather than
+    read as 0, 1 or truncated."""
+    if _holds_bool(value):
+        raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _as_rect(r, name: str = "rectangle") -> np.ndarray:
+    rect = _as_floats(r, name).reshape(4)
     if not np.all(np.isfinite(rect)):
-        raise ValueError(f"rectangle has non-finite entries: {rect!r}")
+        raise ValueError(f"{name} has non-finite entries: {rect!r}")
     return rect
 
 
-def _as_point(p) -> np.ndarray:
-    pt = np.asarray(p, dtype=float).reshape(2)
+def _as_point(p, name: str = "point") -> np.ndarray:
+    pt = _as_floats(p, name).reshape(2)
     if not np.all(np.isfinite(pt)):
-        raise ValueError(f"point has non-finite entries: {pt!r}")
+        raise ValueError(f"{name} has non-finite entries: {pt!r}")
     return pt
 
 
@@ -144,9 +176,9 @@ def _as_point(p) -> np.ndarray:
 class Environment:
     """Workspace bounds, obstacle set, start/goal and the goal radius delta.
 
-    Invariants are checked at construction: positive-area bounds, obstacles
-    with positive extent lying inside the bounds, delta > 0, and free start
-    and goal points.
+    Invariants are checked at construction: bounds of positive, finite width
+    and height, obstacles with positive extent lying inside the bounds,
+    delta > 0, and free start and goal points.
     """
 
     bounds: np.ndarray
@@ -157,14 +189,18 @@ class Environment:
     rng_seed: int = 0
 
     def __post_init__(self):
-        bounds = _as_rect(self.bounds)
-        obstacles = np.asarray(self.obstacles, dtype=float).reshape(-1, 4)
+        bounds = _as_rect(self.bounds, "bounds")
+        obstacles = _as_floats(self.obstacles, "obstacles").reshape(-1, 4)
         if not np.all(np.isfinite(obstacles)):
             raise ValueError("obstacles contain non-finite entries")
-        x0 = _as_point(self.x0)
-        xG = _as_point(self.xG)
+        x0 = _as_point(self.x0, "x0")
+        xG = _as_point(self.xG, "xG")
         if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
             raise ValueError(f"bounds must have positive area: {bounds.tolist()}")
+        with np.errstate(over="ignore"):
+            span = bounds[2:] - bounds[:2]
+        if not np.all(np.isfinite(span)):
+            raise ValueError(f"bounds must have a finite width and height: {bounds.tolist()}")
         if obstacles.size:
             if not np.all((obstacles[:, 2] > obstacles[:, 0]) & (obstacles[:, 3] > obstacles[:, 1])):
                 raise ValueError("every obstacle needs positive width and height")
@@ -176,14 +212,15 @@ class Environment:
             )
             if not np.all(inside):
                 raise ValueError("obstacles must lie inside the bounds")
-        if not float(self.delta) > 0.0:
+        delta = _as_number(self.delta, "delta")
+        if not delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "obstacles", obstacles)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xG", xG)
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "rng_seed", _as_number(self.rng_seed, "seed", integral=True))
         for arr in (bounds, obstacles, x0, xG):
             arr.setflags(write=False)
         # Derived attribute, set past the frozen guard; not a dataclass field.
@@ -285,7 +322,9 @@ class _Cells:
     def cells(self, pts: np.ndarray) -> np.ndarray:
         """(K, 2) cell coordinates of points, clipped to the tiling.
 
-        Monotone in each coordinate, so boxes that overlap share a cell.
+        Monotone in each coordinate, so boxes that overlap share a cell. A
+        NaN coordinate maps to cell 0 (fmax and fmin drop the NaN), so every
+        row gets a valid cell; callers drop the rows outside the bounds.
         """
         # One axis at a time: numpy loops over a (K, 2) array broadcast
         # against a (2,) one two elements at a time, several times slower.
@@ -293,8 +332,8 @@ class _Cells:
         for k in (0, 1):
             t = pts[:, k] - self.origin[k]
             t /= self.cell[k]
-            np.maximum(t, 0.0, out=t)
-            np.minimum(t, self.top[k], out=t)
+            np.fmax(t, 0.0, out=t)
+            np.fmin(t, self.top[k], out=t)
             out[:, k] = t
         return out
 
@@ -452,12 +491,15 @@ def points_free(env: Environment, points) -> np.ndarray:
         p = pts[:, None, :]
         o = env.obstacles[None]
         return ok & ~_boxes_overlap(p, p, o[..., :2], o[..., 2:]).any(axis=1)
-    rows = np.flatnonzero(ok)
     raster = _raster(env, pts.shape[0])
-    if raster is not None:
-        state = raster.states(np.take(pts, rows, axis=0))
-        ok[rows[state == _FULL]] = False
-        rows = rows[state == _MIXED]
+    if raster is None:
+        rows = np.flatnonzero(ok)
+    else:
+        # Every row's state, out-of-bounds ones included, without gathering
+        # the in-bounds rows first: ok already drops the others.
+        state = raster.states(pts)
+        ok &= state != _FULL
+        rows = np.flatnonzero(ok & (state == _MIXED))
     cells = grid.cells(np.take(pts, rows, axis=0))
     row, rect = grid.pairs(rows, cells[:, 1] * grid.shape[0] + cells[:, 0])
     p = np.take(pts, row, axis=0)
@@ -555,9 +597,23 @@ def segment_free(env: Environment, a, b) -> bool:
 
 
 def sample_uniform_batch(env: Environment, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count points uniform over the bounds rectangle (free or not)."""
-    b = env.bounds
-    return rng.uniform((b[0], b[1]), (b[2], b[3]), size=(count, 2))
+    """count points uniform over the bounds rectangle (free or not).
+
+    The same values, and the same generator state after, as
+    rng.uniform((x0, y0), (x1, y1), size=(count, 2)), whose element is
+    lo + (hi - lo) * u: each column of rng.random is scaled and shifted in
+    place, since numpy loops over a (count, 2) array broadcast against a
+    (2,) one two elements at a time.
+    """
+    x0, y0, x1, y1 = env.bounds.tolist()
+    pts = rng.random((count, 2))
+    x = pts[:, 0]
+    x *= x1 - x0
+    x += x0
+    y = pts[:, 1]
+    y *= y1 - y0
+    y += y0
+    return pts
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,22 @@ def closed_loop_step(sys, e):
     return _advance(np.asarray(e, dtype=float).reshape(1, 2), sys.a_cl)[0]
 
 
+@pytest.mark.parametrize("rows", [1, 100_000])
+def test_advance_matches_the_broadcast_reference(rows):
+    # The column-wise step must give the bits of the row-broadcast formula
+    # e[:, :1] * a_cl[:, 0] + e[:, 1:] * a_cl[:, 1], for a lone row and a
+    # large batch, across magnitudes and with non-finite entries.
+    rng = np.random.default_rng(rows)
+    err = rng.normal(size=(rows, 2)) * 10.0 ** rng.uniform(-300, 300, (rows, 2))
+    if rows > 1:
+        err[:12] = np.array([[np.nan, 1.0], [np.inf, -2.0], [-np.inf, np.inf], [0.0, -0.0]] * 3)
+    for a_cl in (default_system().a_cl, np.array([[0.3, -0.7], [0.45, 0.2]])):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = err[:, :1] * a_cl[:, 0] + err[:, 1:] * a_cl[:, 1]
+            got = _advance(err, a_cl)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 def test_origin_is_fixed_point(system):
     assert np.array_equal(closed_loop_step(system, (0.0, 0.0)), [0.0, 0.0])
 
@@ -417,3 +433,24 @@ def test_system_config_rejects_values_of_the_wrong_type(field, value):
     cfg[field] = value
     with pytest.raises(ValueError, match="wrong type"):
         system_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", 2.7), ("horizon", True), ("horizon", False), ("capture_radius", True), ("A", [[-1.5, -2.0], [True, 3.0]])],
+)
+def test_system_config_refuses_booleans_and_fractional_integers(field, value):
+    # JSON true is not a number, and a horizon of 2.7 is not an integer:
+    # neither may build a system of horizon 1 or 2, or a radius of 1.0.
+    cfg = {"A": [list(r) for r in DEFAULT_A], "B": [list(r) for r in DEFAULT_B], "K": [list(r) for r in DEFAULT_GAIN]}
+    cfg[field] = value
+    with pytest.raises(ValueError, match=field):
+        system_from_config(cfg)
+
+
+def test_integral_and_numpy_system_values_still_pass():
+    cfg = {"A": [list(r) for r in DEFAULT_A], "B": [list(r) for r in DEFAULT_B], "K": [list(r) for r in DEFAULT_GAIN]}
+    sys = system_from_config({**cfg, "horizon": 7.0, "capture_radius": 1})
+    assert sys.horizon == 7 and type(sys.horizon) is int and sys.capture_radius == 1.0
+    sys = LinearSystem(a=np.array(DEFAULT_A), b=DEFAULT_B, k=DEFAULT_GAIN, horizon=np.int64(9), capture_radius=np.float32(0.5))
+    assert sys.horizon == 9 and sys.capture_radius == 0.5

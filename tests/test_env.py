@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -40,6 +41,18 @@ def test_construction_validates_degenerate_bounds():
         make_env(bounds=(0.0, 0.0, 0.0, 10.0))
     with pytest.raises(ValueError):
         make_env(bounds=(5.0, 5.0, 5.0, 5.0))
+
+
+def test_construction_rejects_bounds_whose_span_overflows():
+    # Finite corners whose width or height overflows to inf: no uniform
+    # sample over them is finite.
+    for bounds in [(-1e308, -1e308, 1e308, 1e308), (-1e308, 0.0, 1e308, 10.0), (0.0, -1e308, 10.0, 1e308)]:
+        with pytest.raises(ValueError, match="finite width and height"):
+            make_env(bounds=bounds)
+    # The widest finite spans still pass, and sample finite points.
+    wide = make_env(bounds=(-8e307, -8e307, 8e307, 8e307))
+    pts = sample_uniform_batch(wide, np.random.default_rng(1), 1000)
+    assert np.all(np.isfinite(pts)) and np.all(points_free(wide, pts))
 
 
 def test_construction_rejects_blocked_endpoints():
@@ -539,6 +552,28 @@ def test_raster_verdicts_match_slab_reference_on_raster_edges(world, monkeypatch
     assert set(np.unique(raster.states(pts[in_pts]))) == {envmod._FREE, envmod._MIXED, envmod._FULL}
 
 
+def test_raster_points_free_takes_nan_and_infinite_rows(monkeypatch):
+    # A raster-sized call: every row's raster state is looked up, the
+    # out-of-bounds rows included, so NaN and +-inf rows must map to a valid
+    # cell, raise and warn nothing, and come out blocked.
+    monkeypatch.setattr(envmod, "_last_raster", None)
+    world = generate_random_env(*RECIPE_WORLDS["slopes-1234"])
+    rng = np.random.default_rng(17)
+    pts = sample_uniform_batch(world, rng, envmod._RASTER_MIN_ROWS)
+    bad = np.arange(0, pts.shape[0], 97)
+    pts[bad] = np.array([[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 1.0], [1.0, -np.inf], [-np.inf, np.inf]])[
+        np.arange(bad.size) % 6
+    ]
+    hit = ((pts[:, None] >= world.obstacles[None, :, :2]) & (pts[:, None] <= world.obstacles[None, :, 2:])).all(-1).any(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = points_free(world, pts)
+    assert envmod._last_raster is not None and envmod._last_raster[0]() is world
+    assert not got[bad].any()
+    np.testing.assert_array_equal(np.delete(got, bad), np.delete(~hit, bad))
+    assert 0 < got.mean() < 1
+
+
 def test_raster_is_chosen_by_call_size(monkeypatch):
     monkeypatch.setattr(envmod, "_last_raster", None)
     slopes = generate_random_env(*RECIPE_WORLDS["slopes-1234"])
@@ -614,6 +649,23 @@ def test_sample_uniform_mean_near_center(free_env):
     sigma = (10.0 / math.sqrt(12.0)) / math.sqrt(100_000)
     assert abs(pts[:, 0].mean() - 5.0) < 3 * sigma
     assert abs(pts[:, 1].mean() - 5.0) < 3 * sigma
+
+
+@pytest.mark.parametrize("count", [1, 2, 65_536])
+@pytest.mark.parametrize("bounds", [(0.0, 0.0, 10.0, 10.0), (-7.5, -3.0, 21.0, 9.0), (0.1, 1e6, 0.3, 1e6 + 7.0)])
+def test_sample_uniform_matches_rng_uniform_bit_for_bit(bounds, count):
+    # Offset, non-square bounds too: the column-wise scale and shift must
+    # give rng.uniform's lo + (hi - lo) * u and leave the generator where
+    # rng.uniform leaves it.
+    x0, y0, x1, y1 = bounds
+    env = make_env(bounds=bounds, x0=(x0, y0), xG=(x1, y1))
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2):
+        got = sample_uniform_batch(env, ours, count)
+        expect = ref.uniform((x0, y0), (x1, y1), size=(count, 2))
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_samples_ignore_obstacles(box_env):
@@ -797,6 +849,42 @@ def test_load_rejects_missing_field(tmp_path):
     path.write_text(json.dumps({"bounds": [0, 0, 1, 1]}))
     with pytest.raises(ValueError, match="missing key"):
         load_environment(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 2.9),
+        ("seed", True),
+        ("seed", False),
+        ("delta", True),
+        ("bounds", [False, 0.0, 10.0, 10.0]),
+        ("x0", [True, 1.0]),
+        ("xG", [9.0, False]),
+        ("obstacles", [[4.0, 4.0, 6.0, 6.0], [True, 7.0, 2.0, 8.0]]),
+    ],
+)
+def test_load_refuses_booleans_and_fractional_integers(tmp_path, box_env, field, value):
+    # JSON true and false are not numbers, and a seed of 2.9 is not an
+    # integer: none may load as 1, 0 or 2.
+    path = tmp_path / "env.json"
+    save_environment(box_env, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field if field != "obstacles" else "obstacle"):
+        load_environment(path)
+
+
+def test_integral_and_numpy_values_still_load(tmp_path, box_env):
+    path = tmp_path / "env.json"
+    save_environment(box_env, path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "seed": 12.0, "delta": 1}))
+    loaded = load_environment(path)
+    assert loaded.rng_seed == 12 and type(loaded.rng_seed) is int and loaded.delta == 1.0
+    env = make_env(bounds=np.array([0, 0, 10, 10]), delta=np.float32(0.5))
+    assert Environment(env.bounds, env.obstacles, env.x0, env.xG, env.delta, rng_seed=np.int64(7)).rng_seed == 7
 
 
 @pytest.mark.parametrize("field, value", [("delta", None), ("delta", [1]), ("x0", {"a": 1}), ("seed", None)])

@@ -1,5 +1,6 @@
 """Tree mechanics, database construction/tagging, schedules and the sequential planners."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -122,18 +123,30 @@ def lattice_tree_and_tied_queries(rng):
     return tree, np.array(queries), np.array(expect)
 
 
+def use_nearest_path(monkeypatch, path):
+    """Send every nearest_batch call down the block path or the node scan."""
+    monkeypatch.setattr(planner, "_NEAREST_SCAN_MIN_ROWS", 0 if path == "scan" else 10**9)
+
+
+@pytest.mark.parametrize("path", ["block", "scan"])
 @pytest.mark.parametrize("block", [1, 3, 7])
-def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, block):
+def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, path, block):
     tree, tied, tied_expect = lattice_tree_and_tied_queries(rng)
     assert len(tied) == 33
     # 33 ties then 9 random rows: 42 rows, a multiple of every block size
-    # here, so tied rows sit on both sides of every block edge.
+    # here, so tied rows sit on both sides of every block edge of either path.
     queries = np.concatenate([tied, rng.uniform(-1.0, 7.0, size=(9, 2))])
+    use_nearest_path(monkeypatch, "block")
     monkeypatch.setattr(planner, "_NEAREST_BLOCK_PAIRS", 10**9)
     whole = {rows: tree.nearest_batch(queries[:rows]) for rows in (0, 1, 41, 42)}
     np.testing.assert_array_equal(whole[42][:33], tied_expect)
-    for budget in (1, block * len(tree)):
-        monkeypatch.setattr(planner, "_NEAREST_BLOCK_PAIRS", budget)
+    use_nearest_path(monkeypatch, path)
+    if path == "block":
+        settings = [("_NEAREST_BLOCK_PAIRS", budget) for budget in (1, block * len(tree))]
+    else:
+        settings = [("_NEAREST_SCAN_ROWS", rows) for rows in (1, block, 10**9)]
+    for name, value in settings:
+        monkeypatch.setattr(planner, name, value)
         for rows, expect in whole.items():
             got = tree.nearest_batch(queries[:rows])
             assert got.dtype == expect.dtype and got.shape == (rows,)
@@ -146,10 +159,14 @@ def einsum_nearest(coords, queries):
     return np.argmin(np.einsum("kij,kij->ki", diff, diff), axis=1)
 
 
-@pytest.mark.parametrize("nodes", [1, 2, 37, 1000, 3000])
-def test_nearest_batch_matches_einsum_reference(rng, nodes):
-    # 300 queries run as one block up to 436 nodes and split into 3 and 7
-    # blocks of _NEAREST_BLOCK_PAIRS at 1000 and 3000 nodes.
+@pytest.mark.parametrize("path", ["block", "scan"])
+@pytest.mark.parametrize("nodes", [1, 2, 17, 37, 1000, 3000])
+def test_nearest_batch_matches_einsum_reference(monkeypatch, rng, path, nodes):
+    # On the block path 300 queries run as one block up to 436 nodes and
+    # split into 3 and 7 blocks of _NEAREST_BLOCK_PAIRS at 1000 and 3000
+    # nodes; the scan runs them in 5 blocks of 64 rows, the last one short.
+    use_nearest_path(monkeypatch, path)
+    monkeypatch.setattr(planner, "_NEAREST_SCAN_ROWS", 64)
     coords = rng.uniform(-7.0, 13.0, size=(nodes, 2))
     queries = np.vstack([rng.uniform(-9.0, 15.0, size=(297, 2)), coords[np.arange(3) % nodes]])  # 3 on a node
     tree = Tree(coords[0])
@@ -175,6 +192,31 @@ def test_nearest_batch_matches_einsum_reference(rng, nodes):
     tied = d2 == d2.min(axis=1, keepdims=True)
     np.testing.assert_array_equal(got, tied.argmax(axis=1))
     assert nodes <= 2 or (tied.sum(axis=1) > 1).any()
+
+
+def test_nearest_batch_path_is_chosen_by_row_count(monkeypatch, rng):
+    tree = Tree((0.0, 0.0))
+    for p in rng.uniform(0.0, 20.0, size=(16, 2)):
+        tree.add(p, 0)
+    scans = []
+    scan = Tree._nearest_scan
+    monkeypatch.setattr(Tree, "_nearest_scan", lambda self, pts, out: scans.append(len(pts)) or scan(self, pts, out))
+    rows = planner._NEAREST_SCAN_MIN_ROWS
+    queries = rng.uniform(0.0, 20.0, size=(rows, 2))
+    small = tree.nearest_batch(queries[:-1])
+    large = tree.nearest_batch(queries)
+    assert scans == [rows]
+    np.testing.assert_array_equal(large[:-1], small)
+    np.testing.assert_array_equal(large, einsum_nearest(tree.coords, queries))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5000])
+def test_nearest_batch_one_node_tree_is_all_zeros(rows):
+    # NaN and infinite queries included: every row's one candidate is the root.
+    queries = np.full((rows, 2), np.nan)
+    queries[1::2] = (np.inf, -3.0)
+    got = Tree((1.0, 2.0)).nearest_batch(queries)
+    assert got.dtype == np.intp and got.shape == (rows,) and not got.any()
 
 
 def test_tree_grows_past_initial_capacity(rng):
@@ -410,6 +452,11 @@ def test_schedule_validation():
         TemperatureSchedule(stages=((4, 0.0, 2.0),))
     with pytest.raises(ValueError):
         TemperatureSchedule(stages=((4, 3.0, 2.0),))
+    # Radii must be finite: a band reaching inf has no uniform draw.
+    for r_min, r_max in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TemperatureSchedule(stages=((4, 1.0, 2.0), (4, r_min, r_max)))
+    assert TemperatureSchedule(stages=((4, 1.0, 1e308),)).current_stage(0) == (1.0, 1e308)
 
 
 def test_schedule_from_config_coerces():
