@@ -136,18 +136,20 @@ def _holds_bool(value) -> bool:
 
 
 def _as_floats(value, name: str) -> np.ndarray:
-    """value as a float array; booleans, which float() would read as 0 and 1, are refused."""
+    """value as a float array; booleans, which float() would read as 0 and 1, are a TypeError."""
     if _holds_bool(value):
-        raise ValueError(f"{name} must hold numbers, not booleans, got {value!r}")
+        raise TypeError(f"{name} must hold numbers, not booleans, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
 def _as_number(value, name: str, integral: bool = False) -> float | int:
-    """A scalar as a float, or as an int when integral; booleans and, for
-    integral fields, numbers with a fractional part are refused rather than
-    read as 0, 1 or truncated."""
+    """A scalar as a float, or as an int when integral.
+
+    Booleans are a TypeError and, for integral fields, numbers with a
+    fractional part a ValueError, rather than read as 0, 1 or truncated.
+    """
     if _holds_bool(value):
-        raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+        raise TypeError(f"{name} must be a number, not a boolean, got {value!r}")
     if not integral:
         return float(value)
     if isinstance(value, (int, np.integer)):
@@ -163,6 +165,19 @@ def _as_rect(r, name: str = "rectangle") -> np.ndarray:
     if not np.all(np.isfinite(rect)):
         raise ValueError(f"{name} has non-finite entries: {rect!r}")
     return rect
+
+
+def _as_bounds(r) -> np.ndarray:
+    """Workspace bounds of positive, finite width and height: a uniform draw
+    over a span that overflows to inf has no finite sample."""
+    bounds = _as_rect(r, "bounds")
+    if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
+        raise ValueError(f"bounds must have positive area: {bounds.tolist()}")
+    with np.errstate(over="ignore"):
+        span = bounds[2:] - bounds[:2]
+    if not np.all(np.isfinite(span)):
+        raise ValueError(f"bounds must have a finite width and height: {bounds.tolist()}")
+    return bounds
 
 
 def _as_point(p, name: str = "point") -> np.ndarray:
@@ -189,18 +204,12 @@ class Environment:
     rng_seed: int = 0
 
     def __post_init__(self):
-        bounds = _as_rect(self.bounds, "bounds")
+        bounds = _as_bounds(self.bounds)
         obstacles = _as_floats(self.obstacles, "obstacles").reshape(-1, 4)
         if not np.all(np.isfinite(obstacles)):
             raise ValueError("obstacles contain non-finite entries")
         x0 = _as_point(self.x0, "x0")
         xG = _as_point(self.xG, "xG")
-        if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
-            raise ValueError(f"bounds must have positive area: {bounds.tolist()}")
-        with np.errstate(over="ignore"):
-            span = bounds[2:] - bounds[:2]
-        if not np.all(np.isfinite(span)):
-            raise ValueError(f"bounds must have a finite width and height: {bounds.tolist()}")
         if obstacles.size:
             if not np.all((obstacles[:, 2] > obstacles[:, 0]) & (obstacles[:, 3] > obstacles[:, 1])):
                 raise ValueError("every obstacle needs positive width and height")
@@ -692,7 +701,7 @@ def generate_random_env(spec: GeneratorSpec, seed: int) -> Environment:
     stays open. Start/goal sampling retries at most spec.max_retries times.
     """
     rng = np.random.default_rng(seed)
-    b = _as_rect(spec.bounds)
+    b = _as_bounds(spec.bounds)
     lo_s, hi_s = spec.size_range
     if not (0 < lo_s <= hi_s):
         raise ValueError(f"invalid obstacle size range: {spec.size_range}")

@@ -28,7 +28,15 @@ pooled q-RRT modes.
 
 Nearest-parent search (Tree.nearest_batch) and tagging work through a
 database in fixed row blocks, so their memory does not grow with 2^n; no
-result depends on the block sizes.
+result depends on the block sizes. Nearest-parent search has two paths with
+the same bits: calls of fewer than _NEAREST_SCAN_MIN_ROWS (4,096) rows take
+one (rows, nodes) distance block and its argmin per block of rows, and
+larger calls scan the tree node by node over contiguous column blocks of
+_NEAREST_SCAN_ROWS rows, keeping a running minimum. The scan pays a fixed
+cost per node and block, so it took 1.1-4.5x longer at 256-512 rows, and
+it wins from about 1-4K rows, where the argmin's short inner loop per row
+dominates: on trees of 5-40 nodes, a 2^16-row database against a 17-node
+tree took 5.1 ms against 9.1 ms.
 
 Database annealing replaces free placement with ring placement: each raw
 sample keeps only its direction from the chosen parent while the distance
@@ -86,10 +94,8 @@ __all__ = [
 _NEAREST_BLOCK_PAIRS = 2**17
 
 # Calls of at least this many query rows take the node scan of
-# Tree.nearest_batch, over column blocks of _NEAREST_SCAN_ROWS rows (five
-# float columns of 64 KiB). Against the block path's argmin, the scan took
-# 1.1-4.5x longer at 256-512 rows and won from about 1-4K rows, on trees of
-# 5-40 nodes; 2^16 rows against 17 nodes took 5.1 ms against 9.1 ms.
+# Tree.nearest_batch (the crossover is in the module docstring), over column
+# blocks of _NEAREST_SCAN_ROWS rows: five float columns of 64 KiB.
 _NEAREST_SCAN_MIN_ROWS = 4096
 _NEAREST_SCAN_ROWS = 8192
 
@@ -436,9 +442,10 @@ def _measure_and_finalize(
     """The quantum worker kernel: amplify a tagged database, measure, finalize.
 
     The state is amplified once and measured once per stream in rngs, in
-    order (qsim.measure keeps the Born-rule CDF on the state, so it is built
-    once too). charged_workers workers pay the amplification calls: 1 for a
-    single planner or shared accounting, p for a pool charging every worker.
+    order (the qsim module caches the Born-rule CDF of the state it measured
+    last, so the CDF is built once too). charged_workers workers pay the
+    amplification calls: 1 for a single planner or shared accounting, p for
+    a pool charging every worker.
     Returns the measured indices and their finalizer verdicts. Each measured
     row is charged one finalizer call, and its verdict is the tag's:
     tag_database ran the same deterministic oracle on the same row.

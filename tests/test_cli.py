@@ -340,23 +340,8 @@ def test_plan_rejects_env_and_system_values_of_the_wrong_type(tmp_path, capsys):
     good_sys = json.loads((Path(__file__).parent.parent / "configs" / "system_default.json").read_text())
     cases = [("env", {"delta": None}), ("env", {"delta": [1]}), ("env", {"x0": {"a": 1}}), ("env", {"seed": None})]
     cases += [("sys", {"horizon": None}), ("sys", {"K": {"x": 1}})]
-    for i, (kind, change) in enumerate(cases):
-        bad = tmp_path / f"bad{i}.json"
-        bad.write_text(json.dumps({**(good_env if kind == "env" else good_sys), **change}))
-        files = (bad, ()) if kind == "env" else (env_path, ("--sys", str(bad)))
-        out = tmp_path / f"out{i}"
-        assert main(plan_args(files[0], out, "rrt", *files[1])) == 1, change
-        err = capsys.readouterr().err
-        assert f"bad {'environment' if kind == 'env' else 'system'} file" in err and "Traceback" not in err, err
-        assert not out.exists()
-
-
-def test_plan_refuses_booleans_and_fractional_integers_in_env_and_system_files(tmp_path, capsys):
     # Each would otherwise load as horizon 2 or 1, radius 1.0, seed 2 or 1, or delta 1.0.
-    env_path = gen_env(tmp_path)
-    good_env = json.loads(env_path.read_text())
-    good_sys = json.loads((CONFIGS_DIR / "system_default.json").read_text())
-    cases = [("sys", {"horizon": 2.7}), ("sys", {"horizon": True}), ("sys", {"capture_radius": True})]
+    cases += [("sys", {"horizon": 2.7}), ("sys", {"horizon": True}), ("sys", {"capture_radius": True})]
     cases += [("env", {"seed": 2.9}), ("env", {"seed": True}), ("env", {"delta": True})]
     for i, (kind, change) in enumerate(cases):
         bad = tmp_path / f"bad{i}.json"
@@ -369,18 +354,20 @@ def test_plan_refuses_booleans_and_fractional_integers_in_env_and_system_files(t
         assert not out.exists()
 
 
-def test_plan_refuses_bounds_whose_span_overflows(tmp_path, capsys):
+def test_plan_rejects_bounds_whose_span_overflows(tmp_path, capsys):
     env_path = gen_env(tmp_path)
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({**json.loads(env_path.read_text()), "bounds": [-1e308, -1e308, 1e308, 1e308]}))
     out = tmp_path / "out"
     assert main(plan_args(wide, out, "qrrt", "--n", "4", "--max-steps", "1")) == 1
+    generated = tmp_path / "generated.json"
+    assert main(["gen-env", "--seed", "1", "--out", str(generated), "--obstacles", "3", "--bounds", " -1e308", " -1e308", "1e308", "1e308"]) == 1
     err = capsys.readouterr().err
-    assert "finite width and height" in err and "Traceback" not in err, err
-    assert not out.exists()
+    assert err.count("finite width and height") == 2 and "Traceback" not in err, err
+    assert not out.exists() and not generated.exists()
 
 
-def test_plan_refuses_infinite_schedule_radii(tmp_path, capsys):
+def test_plan_rejects_infinite_schedule_radii(tmp_path, capsys):
     env_path = gen_env(tmp_path)
     for schedule in ("1:1:inf", "4:1:2,1:inf:inf", "1:1:nan"):
         out = tmp_path / "out"

@@ -796,6 +796,13 @@ def test_generate_fails_when_no_free_placement():
         generate_random_env(spec, seed=0)
 
 
+def test_generate_rejects_bounds_whose_span_overflows():
+    # Placement draws uniforms over the bounds before any Environment exists.
+    spec = GeneratorSpec(bounds=(-1e308, -1e308, 1e308, 1e308), obstacle_count=3)
+    with pytest.raises(ValueError, match="finite width and height"):
+        generate_random_env(spec, seed=0)
+
+
 def test_generate_rejects_bad_size_range():
     with pytest.raises(ValueError):
         generate_random_env(
@@ -851,28 +858,12 @@ def test_load_rejects_missing_field(tmp_path):
         load_environment(path)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("seed", 2.9),
-        ("seed", True),
-        ("seed", False),
-        ("delta", True),
-        ("bounds", [False, 0.0, 10.0, 10.0]),
-        ("x0", [True, 1.0]),
-        ("xG", [9.0, False]),
-        ("obstacles", [[4.0, 4.0, 6.0, 6.0], [True, 7.0, 2.0, 8.0]]),
-    ],
-)
-def test_load_refuses_booleans_and_fractional_integers(tmp_path, box_env, field, value):
-    # JSON true and false are not numbers, and a seed of 2.9 is not an
-    # integer: none may load as 1, 0 or 2.
+def test_load_rejects_a_fractional_seed(tmp_path, box_env):
+    # A seed of 2.9 is not an integer: it may not load as seed 2.
     path = tmp_path / "env.json"
     save_environment(box_env, path)
-    doc = json.loads(path.read_text())
-    doc[field] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=field if field != "obstacles" else "obstacle"):
+    path.write_text(json.dumps({**json.loads(path.read_text()), "seed": 2.9}))
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.9"):
         load_environment(path)
 
 
@@ -887,7 +878,23 @@ def test_integral_and_numpy_values_still_load(tmp_path, box_env):
     assert Environment(env.bounds, env.obstacles, env.x0, env.xG, env.delta, rng_seed=np.int64(7)).rng_seed == 7
 
 
-@pytest.mark.parametrize("field, value", [("delta", None), ("delta", [1]), ("x0", {"a": 1}), ("seed", None)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta", None),
+        ("delta", [1]),
+        ("x0", {"a": 1}),
+        ("seed", None),
+        # JSON true and false are not numbers: none may load as 1 or 0.
+        ("seed", True),
+        ("seed", False),
+        ("delta", True),
+        ("bounds", [False, 0.0, 10.0, 10.0]),
+        ("x0", [True, 1.0]),
+        ("xG", [9.0, False]),
+        ("obstacles", [[4.0, 4.0, 6.0, 6.0], [True, 7.0, 2.0, 8.0]]),
+    ],
+)
 def test_load_rejects_values_of_the_wrong_type(tmp_path, box_env, field, value):
     path = tmp_path / "env.json"
     save_environment(box_env, path)
