@@ -703,7 +703,7 @@ def generate_random_env(spec: GeneratorSpec, seed: int) -> Environment:
     rng = np.random.default_rng(seed)
     b = _as_bounds(spec.bounds)
     lo_s, hi_s = spec.size_range
-    if not (0 < lo_s <= hi_s):
+    if not (0 < lo_s <= hi_s < math.inf):
         raise ValueError(f"invalid obstacle size range: {spec.size_range}")
     obstacles: list[np.ndarray] = []
     gap = None

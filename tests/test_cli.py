@@ -360,11 +360,20 @@ def test_plan_rejects_bounds_whose_span_overflows(tmp_path, capsys):
     wide.write_text(json.dumps({**json.loads(env_path.read_text()), "bounds": [-1e308, -1e308, 1e308, 1e308]}))
     out = tmp_path / "out"
     assert main(plan_args(wide, out, "qrrt", "--n", "4", "--max-steps", "1")) == 1
-    generated = tmp_path / "generated.json"
-    assert main(["gen-env", "--seed", "1", "--out", str(generated), "--obstacles", "3", "--bounds", " -1e308", " -1e308", "1e308", "1e308"]) == 1
     err = capsys.readouterr().err
-    assert err.count("finite width and height") == 2 and "Traceback" not in err, err
-    assert not out.exists() and not generated.exists()
+    assert "finite width and height" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_gen_env_rejects_ranges_that_overflow(tmp_path, capsys):
+    # Placement draws uniforms over the bounds and the size range.
+    out = tmp_path / "env.json"
+    argv = ["gen-env", "--seed", "1", "--out", str(out), "--obstacles", "3"]
+    for flags in (["--bounds", " -1e308", " -1e308", "1e308", "1e308"], ["--size-range", "0.5", "inf"]):
+        assert main([*argv, *flags]) == 1, flags
+        err = capsys.readouterr().err
+        assert "environment generation failed" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_plan_rejects_infinite_schedule_radii(tmp_path, capsys):

@@ -808,6 +808,10 @@ def test_generate_rejects_bad_size_range():
         generate_random_env(
             GeneratorSpec(bounds=(0, 0, 5, 5), obstacle_count=1, size_range=(2.0, 1.0)), seed=0
         )
+    # Sizes are drawn uniformly from the range, so it must be finite.
+    for size_range in ((0.5, math.inf), (math.inf, math.inf), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="size range"):
+            generate_random_env(GeneratorSpec(bounds=(0, 0, 5, 5), obstacle_count=1, size_range=size_range), seed=0)
 
 
 def test_generator_spec_bounds_obstacle_count():
