@@ -69,7 +69,7 @@ import numpy as np
 
 from . import qsim
 from .dynamics import LinearSystem, reachable, reachable_batch
-from .env import Environment, sample_uniform_batch
+from .env import Environment, _as_point, sample_uniform_batch
 from .records import StepSummary, TrialRecord
 
 __all__ = [
@@ -104,11 +104,13 @@ class Tree:
     """Planning tree: packed coordinates, parent indices, goal bookkeeping.
 
     Coordinate lookup for duplicate detection is exact float equality via a
-    dict, matching the admission rule.
+    dict, matching the admission rule. Nodes are finite: a NaN node would
+    win every argmin of nearest_batch's block path and no comparison of its
+    node scan.
     """
 
     def __init__(self, root):
-        root = np.asarray(root, dtype=float).reshape(2)
+        root = _as_point(root, "root")
         self._coords = np.zeros((64, 2))
         self._coords[0] = root
         self._size = 1
@@ -128,7 +130,7 @@ class Tree:
         return (point[0], point[1]) in self._lookup
 
     def add(self, point, parent_index: int) -> int:
-        point = np.asarray(point, dtype=float).reshape(2)
+        point = _as_point(point)
         if not (0 <= parent_index < self._size):
             raise IndexError(f"parent index {parent_index} outside tree of size {self._size}")
         key = (float(point[0]), float(point[1]))

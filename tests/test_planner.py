@@ -75,6 +75,19 @@ def test_tree_rejects_duplicate_point():
         tree.add((0.0, 0.0), 0)
 
 
+def test_tree_rejects_non_finite_points():
+    # A NaN node would win every argmin of the block path and no comparison
+    # of the node scan, so the two nearest paths would part; trees hold
+    # finite nodes only.
+    for bad in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            Tree(bad)
+        tree = Tree((0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            tree.add(bad, 0)
+        assert len(tree) == 1
+
+
 def test_tree_rejects_bad_parent():
     tree = Tree((0.0, 0.0))
     with pytest.raises(IndexError):
@@ -128,9 +141,8 @@ def use_nearest_path(monkeypatch, path):
     monkeypatch.setattr(planner, "_NEAREST_SCAN_MIN_ROWS", 0 if path == "scan" else 10**9)
 
 
-@pytest.mark.parametrize("path", ["block", "scan"])
 @pytest.mark.parametrize("block", [1, 3, 7])
-def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, path, block):
+def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, block):
     tree, tied, tied_expect = lattice_tree_and_tied_queries(rng)
     assert len(tied) == 33
     # 33 ties then 9 random rows: 42 rows, a multiple of every block size
@@ -140,17 +152,17 @@ def test_nearest_batch_blocks_match_one_block(monkeypatch, rng, path, block):
     monkeypatch.setattr(planner, "_NEAREST_BLOCK_PAIRS", 10**9)
     whole = {rows: tree.nearest_batch(queries[:rows]) for rows in (0, 1, 41, 42)}
     np.testing.assert_array_equal(whole[42][:33], tied_expect)
-    use_nearest_path(monkeypatch, path)
-    if path == "block":
-        settings = [("_NEAREST_BLOCK_PAIRS", budget) for budget in (1, block * len(tree))]
-    else:
-        settings = [("_NEAREST_SCAN_ROWS", rows) for rows in (1, block, 10**9)]
-    for name, value in settings:
-        monkeypatch.setattr(planner, name, value)
-        for rows, expect in whole.items():
-            got = tree.nearest_batch(queries[:rows])
-            assert got.dtype == expect.dtype and got.shape == (rows,)
-            np.testing.assert_array_equal(got, expect)
+    for path, name, values in [
+        ("block", "_NEAREST_BLOCK_PAIRS", (1, block * len(tree))),
+        ("scan", "_NEAREST_SCAN_ROWS", (1, block, 10**9)),
+    ]:
+        use_nearest_path(monkeypatch, path)
+        for value in values:
+            monkeypatch.setattr(planner, name, value)
+            for rows, expect in whole.items():
+                got = tree.nearest_batch(queries[:rows])
+                assert got.dtype == expect.dtype and got.shape == (rows,)
+                np.testing.assert_array_equal(got, expect)
 
 
 def einsum_nearest(coords, queries):
@@ -159,39 +171,38 @@ def einsum_nearest(coords, queries):
     return np.argmin(np.einsum("kij,kij->ki", diff, diff), axis=1)
 
 
-@pytest.mark.parametrize("path", ["block", "scan"])
 @pytest.mark.parametrize("nodes", [1, 2, 17, 37, 1000, 3000])
-def test_nearest_batch_matches_einsum_reference(monkeypatch, rng, path, nodes):
+def test_nearest_batch_matches_einsum_reference(monkeypatch, rng, nodes):
     # On the block path 300 queries run as one block up to 436 nodes and
     # split into 3 and 7 blocks of _NEAREST_BLOCK_PAIRS at 1000 and 3000
     # nodes; the scan runs them in 5 blocks of 64 rows, the last one short.
-    use_nearest_path(monkeypatch, path)
     monkeypatch.setattr(planner, "_NEAREST_SCAN_ROWS", 64)
     coords = rng.uniform(-7.0, 13.0, size=(nodes, 2))
     queries = np.vstack([rng.uniform(-9.0, 15.0, size=(297, 2)), coords[np.arange(3) % nodes]])  # 3 on a node
     tree = Tree(coords[0])
     for p in coords[1:]:
         tree.add(p, 0)
-    got = tree.nearest_batch(queries)
-    assert got.dtype == np.intp and got.shape == (300,)
-    np.testing.assert_array_equal(got, einsum_nearest(tree.coords, queries))
-
     # A shuffled integer lattice tree and integer and half-integer queries:
     # every squared distance is exact, so equidistant nodes are common and
     # each query must resolve to the lowest tied index.
     side = np.arange(-30, 31)
     lattice = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
     lattice = lattice[rng.permutation(lattice.shape[0])[:nodes]].astype(float)
-    tree = Tree(lattice[0])
+    lattice_tree = Tree(lattice[0])
     for p in lattice[1:]:
-        tree.add(p, 0)
-    queries = rng.integers(-64, 65, size=(300, 2)) / 2.0
-    got = tree.nearest_batch(queries)
-    np.testing.assert_array_equal(got, einsum_nearest(tree.coords, queries))
-    d2 = ((2 * queries[:, None, :] - 2 * lattice[None, :, :]) ** 2).sum(axis=2)  # exact integers
+        lattice_tree.add(p, 0)
+    lattice_queries = rng.integers(-64, 65, size=(300, 2)) / 2.0
+    d2 = ((2 * lattice_queries[:, None, :] - 2 * lattice[None, :, :]) ** 2).sum(axis=2)  # exact integers
     tied = d2 == d2.min(axis=1, keepdims=True)
-    np.testing.assert_array_equal(got, tied.argmax(axis=1))
     assert nodes <= 2 or (tied.sum(axis=1) > 1).any()
+    for path in ("block", "scan"):
+        use_nearest_path(monkeypatch, path)
+        got = tree.nearest_batch(queries)
+        assert got.dtype == np.intp and got.shape == (300,)
+        np.testing.assert_array_equal(got, einsum_nearest(tree.coords, queries))
+        got = lattice_tree.nearest_batch(lattice_queries)
+        np.testing.assert_array_equal(got, einsum_nearest(lattice_tree.coords, lattice_queries))
+        np.testing.assert_array_equal(got, tied.argmax(axis=1))
 
 
 def test_nearest_batch_path_is_chosen_by_row_count(monkeypatch, rng):
@@ -409,13 +420,15 @@ def test_tag_database_memory_does_not_grow_with_rows(annealing_world, system):
     assert peak <= 64 * 2**20, f"tag_database peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_nearest_batch_memory_is_bounded(rng):
+def test_nearest_batch_memory_is_bounded(monkeypatch, rng):
     tree = Tree((0.0, 0.0))
     for p in rng.uniform(0.0, 20.0, size=(1023, 2)):
         tree.add(p, 0)
     queries = rng.uniform(0.0, 20.0, size=(16_384, 2))
-    peak = traced_peak(tree.nearest_batch, queries)
-    assert peak <= 32 * 2**20, f"nearest_batch peaked at {peak / 2**20:.1f} MiB"
+    for path in ("block", "scan"):
+        use_nearest_path(monkeypatch, path)
+        peak = traced_peak(tree.nearest_batch, queries)
+        assert peak <= 32 * 2**20, f"nearest_batch {path} path peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_schedule_stage_lookup_by_cumulative_duration():
