@@ -160,22 +160,17 @@ def _as_number(value, name: str, integral: bool = False) -> float | int:
     return int(number)
 
 
-def _as_rect(r, name: str = "rectangle") -> np.ndarray:
-    rect = _as_floats(r, name).reshape(4)
-    if not np.all(np.isfinite(rect)):
-        raise ValueError(f"{name} has non-finite entries: {rect!r}")
-    return rect
-
-
 def _as_bounds(r) -> np.ndarray:
-    """Workspace bounds of positive, finite width and height: a uniform draw
-    over a span that overflows to inf has no finite sample."""
-    bounds = _as_rect(r, "bounds")
-    if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
+    """Workspace bounds (xmin, ymin, xmax, ymax) of positive, finite width
+    and height: a uniform draw over a span that overflows to inf has no
+    finite sample."""
+    bounds = _as_floats(r, "bounds").reshape(4)
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError(f"bounds have non-finite entries: {bounds!r}")
+    x0, y0, x1, y1 = bounds.tolist()
+    if not (x1 > x0 and y1 > y0):
         raise ValueError(f"bounds must have positive area: {bounds.tolist()}")
-    with np.errstate(over="ignore"):
-        span = bounds[2:] - bounds[:2]
-    if not np.all(np.isfinite(span)):
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise ValueError(f"bounds must have a finite width and height: {bounds.tolist()}")
     return bounds
 
@@ -670,7 +665,7 @@ class GeneratorSpec:
 
 
 def _corridor_walls(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    b = _as_rect(spec.bounds)
+    b = _as_bounds(spec.bounds)
     c = spec.corridor
     cx = 0.5 * (b[0] + b[2]) if c.wall_x is None else float(c.wall_x)
     cy = 0.5 * (b[1] + b[3]) if c.gap_center_y is None else float(c.gap_center_y)
