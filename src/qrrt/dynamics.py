@@ -34,6 +34,7 @@ the tail size, the window or on which rows share a step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,8 @@ class LinearSystem:
         if not (1 <= horizon <= MAX_HORIZON):
             raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {self.horizon}")
         capture_radius = None if self.capture_radius is None else _as_number(self.capture_radius, "capture_radius")
-        if capture_radius is not None and not capture_radius > 0:
-            raise ValueError(f"capture_radius must be positive, got {self.capture_radius}")
+        if capture_radius is not None and not 0.0 < capture_radius < math.inf:
+            raise ValueError(f"capture_radius must be positive and finite, got {self.capture_radius}")
         a_cl = a - b @ k
         eigs = np.linalg.eigvals(a_cl)
         rho = float(np.max(np.abs(eigs)))

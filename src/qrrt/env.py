@@ -188,7 +188,7 @@ class Environment:
 
     Invariants are checked at construction: bounds of positive, finite width
     and height, obstacles with positive extent lying inside the bounds,
-    delta > 0, and free start and goal points.
+    a positive, finite delta, and free start and goal points.
     """
 
     bounds: np.ndarray
@@ -217,8 +217,8 @@ class Environment:
             if not np.all(inside):
                 raise ValueError("obstacles must lie inside the bounds")
         delta = _as_number(self.delta, "delta")
-        if not delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "obstacles", obstacles)
         object.__setattr__(self, "x0", x0)

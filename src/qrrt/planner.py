@@ -69,7 +69,7 @@ import numpy as np
 
 from . import qsim
 from .dynamics import LinearSystem, reachable, reachable_batch
-from .env import Environment, _as_point, sample_uniform_batch
+from .env import Environment, _as_number, _as_point, sample_uniform_batch
 from .records import StepSummary, TrialRecord
 
 __all__ = [
@@ -319,11 +319,13 @@ class TemperatureSchedule:
         norm = []
         for stage in self.stages:
             dur, r_min, r_max = stage
-            if int(dur) < 1:
+            dur = _as_number(dur, "stage duration", integral=True)
+            r_min, r_max = _as_number(r_min, "stage r_min"), _as_number(r_max, "stage r_max")
+            if dur < 1:
                 raise ValueError(f"stage duration must be >= 1, got {dur}")
-            if not (0.0 < float(r_min) <= float(r_max) < math.inf):
+            if not (0.0 < r_min <= r_max < math.inf):
                 raise ValueError(f"stage radii must be finite and satisfy 0 < r_min <= r_max, got {stage}")
-            norm.append((int(dur), float(r_min), float(r_max)))
+            norm.append((dur, r_min, r_max))
         object.__setattr__(self, "stages", tuple(norm))
 
     def current_stage(self, h: int) -> tuple[float, float]:
@@ -338,7 +340,7 @@ class TemperatureSchedule:
 
     @classmethod
     def from_config(cls, stages) -> "TemperatureSchedule":
-        return cls(stages=tuple((int(d), float(a), float(b)) for d, a, b in stages))
+        return cls(stages=tuple(stages))
 
 
 # Largest fixed iteration count: qsim.amplify runs k scalar steps, and the

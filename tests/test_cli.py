@@ -376,6 +376,33 @@ def test_gen_env_rejects_ranges_that_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_env_rejects_an_infinite_delta(tmp_path, capsys):
+    # json would write the radius as Infinity, which is not standard JSON.
+    out = tmp_path / "env.json"
+    for delta in ("inf", "nan"):
+        assert main(["gen-env", "--seed", "1", "--out", str(out), "--obstacles", "3", "--delta", delta]) == 1, delta
+        err = capsys.readouterr().err
+        assert "delta must be positive and finite" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_plan_rejects_infinite_delta_and_capture_radius_files(tmp_path, capsys):
+    env_path = gen_env(tmp_path)
+    bad_env = tmp_path / "bad_env.json"
+    bad_env.write_text(json.dumps({**json.loads(env_path.read_text()), "delta": math.inf}))
+    config = json.loads((CONFIGS_DIR / "system_default.json").read_text())
+    bad_sys = tmp_path / "bad_sys.json"
+    bad_sys.write_text(json.dumps({**config, "capture_radius": math.inf}))
+    for i, (files, message) in enumerate(
+        [((bad_env,), "bad environment file"), ((env_path, "--sys", str(bad_sys)), "bad system file")]
+    ):
+        out = tmp_path / f"out{i}"
+        assert main(plan_args(files[0], out, "qrrt", "--n", "4", "--max-steps", "5", *files[1:])) == 1
+        err = capsys.readouterr().err
+        assert message in err and "positive and finite" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
 def test_plan_rejects_infinite_schedule_radii(tmp_path, capsys):
     env_path = gen_env(tmp_path)
     for schedule in ("1:1:inf", "4:1:2,1:inf:inf", "1:1:nan"):

@@ -96,6 +96,15 @@ def test_horizon_and_capture_radius_validation():
         LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=DEFAULT_GAIN, horizon=10, capture_radius=0.0)
 
 
+def test_capture_radius_must_be_finite():
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="capture_radius must be positive and finite"):
+            LinearSystem(a=DEFAULT_A, b=DEFAULT_B, k=DEFAULT_GAIN, capture_radius=radius)
+        with pytest.raises(ValueError, match="capture_radius must be positive and finite"):
+            system_from_config({"A": DEFAULT_A, "B": DEFAULT_B, "K": DEFAULT_GAIN, "capture_radius": radius})
+    assert default_system(capture_radius=1e308).capture_radius == 1e308
+
+
 def test_horizon_is_capped():
     for horizon in (1001, 10**9):
         with pytest.raises(ValueError, match=r"horizon must be in \[1, 1000\]"):

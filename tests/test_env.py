@@ -76,6 +76,15 @@ def test_construction_rejects_bad_delta():
         make_env(delta=-1.0)
 
 
+def test_construction_rejects_a_non_finite_delta():
+    # An infinite goal radius captures every free target at step 0, so the
+    # root -> goal edge would be admitted without a single segment test.
+    for delta in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            make_env(delta=delta)
+    assert make_env(delta=1e308).delta == 1e308
+
+
 def test_arrays_are_read_only(box_env):
     with pytest.raises(ValueError):
         box_env.obstacles[0, 0] = 99.0

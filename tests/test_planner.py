@@ -472,6 +472,20 @@ def test_schedule_validation():
     assert TemperatureSchedule(stages=((4, 1.0, 1e308),)).current_stage(0) == (1.0, 1e308)
 
 
+def test_schedule_rejects_fractional_and_boolean_entries():
+    # float() and int() would read these as duration 2, duration 1 or radius 1.0.
+    with pytest.raises(ValueError, match="must be an integer"):
+        TemperatureSchedule(stages=((2.5, 1.0, 2.0),))
+    for stage in ((True, 1.0, 2.0), (4, True, 2.0), (4, 1.0, np.True_)):
+        with pytest.raises(TypeError, match="not a boolean"):
+            TemperatureSchedule(stages=(stage,))
+    with pytest.raises(ValueError, match="must be an integer"):
+        TemperatureSchedule.from_config([[2.5, 1.0, 2.0]])
+    sched = TemperatureSchedule(stages=((2.0, 1, 2), (np.int64(3), np.float32(0.5), 1.0)))
+    assert sched.stages == ((2, 1.0, 2.0), (3, 0.5, 1.0))
+    assert [type(v) for v in sched.stages[1]] == [int, float, float]
+
+
 def test_schedule_from_config_coerces():
     sched = TemperatureSchedule.from_config([[16, "2.7", 4.2], (32, 0.8, 2)])
     assert sched.stages == ((16, 2.7, 4.2), (32, 0.8, 2.0))
