@@ -27,6 +27,22 @@ mean stays (goods) or changes sign (bads). So k scalar steps on the two class
 means and a few passes over the vector evolve any real state, not only the
 uniform start.
 
+A state takes one of two forms. A *dense* state stores the amplitude array
+it was built from; ``grover_iterate`` returns one, and so does
+``AmplifiedState(n=..., amplitudes=..., good_mask=...)``. This is the
+reference path. A *two-level* state stores only the good mask and its
+``levels``, the one good and one bad amplitude. ``init_uniform`` returns
+one, and ``amplify`` keeps that form: it runs the dense path's per-entry
+operations on the two values instead of on 2^n entries, so the bits are the
+same. Such a state is 1 byte an entry instead of 9. Its ``amplitudes`` is
+rebuilt as a fresh read-only array on every read and is not kept: a cached
+copy would bring the 8 bytes an entry back for as long as whoever read it
+holds the state. ``amplify`` still reads 2^n entries once, on such a
+transient array. It takes the class means with the dense path's own
+reductions, ``np.dot(amps, mask)`` and ``amps.sum()``. Those sums depend on
+where the goods sit, and on a uniform start they can miss 2^(-n/2) by an ulp.
+A closed-form mean would then give other bits than the dense path.
+
 Oracle-call accounting: each iteration is one oracle call, tracked on the
 state. Measurement samples the Born rule and never changes what the state
 describes. A pooled round has p workers measure one state in a row, so
@@ -35,10 +51,13 @@ measured last, and every later call on that state searches the same array:
 one O(2^n) pass per state instead of one per worker. The module holds that
 one CDF, 8 bytes per amplitude, and only while its state lives; a state
 itself carries no CDF. A caller who alternates draws between two states
-rebuilds the CDF on every draw. The first draw makes the amplitudes
-read-only, so an in-place write cannot leave the cached CDF stale;
-``amplify`` and ``grover_iterate`` never write to their input and return a
-fresh, writable state.
+rebuilds the CDF on every draw. A two-level state's CDF is built from the
+two squared levels, ``cumsum(where(mask, g*g, b*b))``, which gives the same
+bits. The first draw makes a dense state's amplitudes read-only, so an
+in-place write cannot leave the cached CDF stale. ``amplify`` and
+``grover_iterate`` never write to their input. ``grover_iterate`` returns a
+fresh, writable dense state; ``amplify`` returns a dense state for a dense
+input and a two-level state for a two-level one.
 
 Edge cases follow the uniform-state algebra: m = 0 leaves the state untouched
 (the iteration still counts as an oracle call); m = N keeps the good
@@ -85,6 +104,27 @@ def _check_counts(n: int, m: int) -> tuple[int, int]:
     return n, m
 
 
+class _Amplitudes:
+    """The ``amplitudes`` field of an ``AmplifiedState``.
+
+    A dense state stores the array it was given. A two-level state rebuilds
+    a fresh read-only array from its levels on every read and keeps none.
+    """
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            raise AttributeError("amplitudes")  # the field has no default
+        if state.levels is None:
+            return state._dense
+        good, bad = state.levels
+        amps = np.where(state.good_mask, good, bad)
+        amps.flags.writeable = False
+        return amps
+
+    def __set__(self, state, amps):
+        state._dense = amps
+
+
 @dataclass
 class AmplifiedState:
     """Real statevector plus the good-index mask and per-state call counters.
@@ -92,31 +132,51 @@ class AmplifiedState:
     A state holds no Born-rule CDF: ``measure`` caches one for the state it
     measured last, outside the state, so a draw leaves the state's value
     and ``repr`` as they were and only makes its amplitudes read-only.
+    States compare equal when n, the call count, the mask and the
+    amplitudes are equal, whatever their form.
     """
 
     n: int
-    amplitudes: np.ndarray  # float64, shape (2^n,)
+    amplitudes: np.ndarray = _Amplitudes()  # float64, shape (2^n,)
     good_mask: np.ndarray  # bool, shape (2^n,)
     oracle_calls: int = 0
+    # (good, bad) amplitude of a two-level state, None for a dense one. Not a
+    # field: ``dataclasses.replace`` copies a state through its amplitudes.
+    levels = None
 
     @property
     def m(self) -> int:
         return int(self.good_mask.sum())
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.n, self.oracle_calls) == (other.n, other.oracle_calls)
+            and np.array_equal(self.good_mask, other.good_mask)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
+
+
+def _two_level(n: int, good_mask: np.ndarray, levels: tuple[float, float], oracle_calls: int) -> AmplifiedState:
+    state = AmplifiedState(n=n, amplitudes=None, good_mask=good_mask, oracle_calls=oracle_calls)
+    state.levels = levels
+    return state
+
 
 def init_uniform(n: int, good_mask) -> AmplifiedState:
-    """Uniform superposition over 2^n indices with the given good mask."""
+    """Uniform superposition over 2^n indices with the given good mask, in two-level form."""
     n = _check_n(n)
     mask = np.asarray(good_mask, dtype=bool).reshape(-1)
     size = 2**n
     if mask.shape[0] != size:
         raise ValueError(f"good_mask must have length 2^{n} = {size}, got {mask.shape[0]}")
-    amps = np.full(size, 2.0 ** (-n / 2.0))
-    return AmplifiedState(n=n, amplitudes=amps, good_mask=mask.copy())
+    amp = 2.0 ** (-n / 2.0)
+    return _two_level(n, mask.copy(), (amp, amp), 0)
 
 
 def grover_iterate(state: AmplifiedState) -> AmplifiedState:
-    """One oracle flip + inversion about the mean; returns a new state.
+    """One oracle flip + inversion about the mean; returns a new dense state.
 
     An all-bad mask is a documented no-op on the amplitudes, but the oracle
     call is still counted: the hardware would have paid for the query.
@@ -135,6 +195,25 @@ def grover_iterate(state: AmplifiedState) -> AmplifiedState:
     )
 
 
+def _offset(amps, mask, k: int, d: float, c: float):
+    """good a + d; bad a + c (even k) or c - a (odd k, offsets negated).
+
+    amps and mask are the dense arrays, or one level and its 0.0 / 1.0 mask
+    value: the same float operations in the same order give the same bits.
+    """
+    if k % 2:
+        out = amps * 2.0
+        out += d - c
+        out *= mask
+        out += c
+        out -= amps
+    else:
+        out = mask * (d - c)
+        out += c
+        out += amps
+    return out
+
+
 def amplify(state: AmplifiedState, k: int) -> AmplifiedState:
     """Apply k amplification iterations in O(2^n + k); equals k ``grover_iterate`` calls.
 
@@ -142,19 +221,22 @@ def amplify(state: AmplifiedState, k: int) -> AmplifiedState:
     N - m bads) plus an offset. One iteration maps the means by
     mu = (-m g + (N - m) b) / N, g -> 2 mu + g, b -> 2 mu - b, keeps every
     good offset and negates every bad one. So k scalar steps on (g, b) and
-    a few passes over the amplitudes give the state for any real input.
+    a few passes over the amplitudes give the state for any real input; a
+    two-level input needs the passes on its two levels only.
     """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     k = int(k)
     if k == 0:
         return state
-    amps, mask = state.amplitudes, state.good_mask
-    size = amps.shape[0]
+    mask, levels = state.good_mask, state.levels
     m = int(np.count_nonzero(mask))
     if m == 0:
-        out = amps.copy()
+        # Nothing to flip: every iteration leaves the amplitudes as they are.
+        out = state.amplitudes.copy() if levels is None else None
     else:
+        amps = state.amplitudes  # transient for a two-level state
+        size = amps.shape[0]
         # The mask enters as a 0/1 factor: masked ufuncs and np.where branch
         # on every entry, which costs several times more on scattered masks.
         good_sum = float(np.dot(amps, mask))
@@ -164,20 +246,14 @@ def amplify(state: AmplifiedState, k: int) -> AmplifiedState:
         for _ in range(k):
             mu = (-m * g + (size - m) * b) / size
             g, b = 2.0 * mu + g, 2.0 * mu - b
-        # good: a + d; bad: a + c (even k) or c - a (odd k, offsets negated)
         d = g - g0
-        if k % 2:
-            c = b + b0
-            out = amps * 2.0
-            out += d - c
-            out *= mask
-            out += c
-            out -= amps
+        c = b + b0 if k % 2 else b - b0
+        if levels is None:
+            out = _offset(amps, mask, k, d, c)
         else:
-            c = b - b0
-            out = mask * (d - c)
-            out += c
-            out += amps
+            levels = (_offset(levels[0], 1.0, k, d, c), _offset(levels[1], 0.0, k, d, c))
+    if levels is not None:
+        return _two_level(state.n, mask, levels, state.oracle_calls + k)
     return AmplifiedState(
         n=state.n,
         amplitudes=out,
@@ -231,8 +307,8 @@ def measure(state: AmplifiedState, rng: np.random.Generator) -> int:
 
     A call on the state measured last searches its cached CDF. A call on any
     other state builds that state's CDF, the same bits as
-    ``np.cumsum(state.amplitudes**2)``, freezes its amplitudes and caches
-    the CDF in place of the previous one.
+    ``np.cumsum(state.amplitudes**2)``, freezes a dense state's amplitudes
+    and caches the CDF in place of the previous one.
     """
     global _last_cdf
     entry = _last_cdf
@@ -240,9 +316,13 @@ def measure(state: AmplifiedState, rng: np.random.Generator) -> int:
         cdf = entry[1]
     else:
         entry = _last_cdf = None  # free the previous CDF before building this one
-        cdf = np.square(state.amplitudes)
+        if state.levels is None:
+            cdf = np.square(state.amplitudes)
+            state.amplitudes.flags.writeable = False
+        else:
+            good, bad = state.levels
+            cdf = np.where(state.good_mask, good * good, bad * bad)
         np.cumsum(cdf, out=cdf)
-        state.amplitudes.flags.writeable = False
         _last_cdf = (weakref.ref(state, _drop_cdf), cdf)
     u = rng.random() * cdf[-1]
     idx = int(np.searchsorted(cdf, u, side="right"))

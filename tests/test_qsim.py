@@ -258,6 +258,57 @@ def test_statevector_matches_closed_form_grid(rng):
 
 
 # ---------------------------------------------------------------------------
+# Two-level form vs dense form
+# ---------------------------------------------------------------------------
+
+
+def _dense(state):
+    """The same state in the dense form, which amplify evolves on the reference path."""
+    return AmplifiedState(
+        n=state.n, amplitudes=state.amplitudes.copy(), good_mask=state.good_mask, oracle_calls=state.oracle_calls
+    )
+
+
+def _bits(state):
+    return state.amplitudes.view(np.int64)
+
+
+def _measured(state, seed, p=8):
+    """p draws from one seed, and the CDF they searched."""
+    rng = np.random.default_rng(seed)
+    indices = [measure(state, rng) for _ in range(p)]
+    return indices, qsim._last_cdf[1]
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_two_level_form_matches_dense_form_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    size = 2**n
+    for m in sorted({0, 1, int(rng.integers(0, size + 1)), size - 1, size}):
+        two = init_uniform(n, mask(n, rng.choice(size, size=m, replace=False)))
+        dense = _dense(two)
+        assert two.levels is not None and dense.levels is None
+        opt = optimal_iterations(n, m)
+        k_random = int(rng.integers(0, 2 * opt + 20))
+        for k in sorted({0, 1, opt, k_random, k_random + 1}):
+            got, ref = amplify(two, k), amplify(dense, k)
+            assert got.levels is not None and ref.levels is None
+            assert np.array_equal(_bits(got), _bits(ref)), (m, k)
+            assert got.oracle_calls == ref.oracle_calls == k
+            seed = int(rng.integers(2**32))
+            (got_idx, got_cdf), (ref_idx, ref_cdf) = _measured(got, seed), _measured(ref, seed)
+            assert got_idx == ref_idx
+            assert np.array_equal(got_cdf.view(np.int64), ref_cdf.view(np.int64)), (m, k)
+            twin = dataclasses.replace(got)
+            assert twin.levels is None and twin == got
+            assert np.array_equal(_bits(twin), _bits(got))
+            a = int(rng.integers(0, k + 1))
+            split, split_ref = amplify(amplify(two, a), k - a), amplify(amplify(dense, a), k - a)
+            assert split.levels is not None and split.oracle_calls == k
+            assert np.array_equal(_bits(split), _bits(split_ref)), (m, a, k)
+
+
+# ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
 
@@ -319,7 +370,7 @@ def test_repeated_measure_matches_a_cdf_rebuilt_per_call(rng):
             amplify(uniform, 0),  # the same object
             AmplifiedState(n=n, amplitudes=amps / np.linalg.norm(amps), good_mask=good),
             amplified,
-            dataclasses.replace(amplified),  # another object sharing the frozen amplitudes
+            dataclasses.replace(amplified),  # a dense copy of a two-level state
         ]
         p = int(rng.integers(1, 17))
         # p draws in a row from each state, then strict alternation between
@@ -343,8 +394,9 @@ def test_cached_cdf_is_freed_with_its_state(rng):
 
 
 def test_measured_states_hold_one_cdf_between_them(rng):
-    # Eight measured n = 16 states keep their amplitudes and masks alive;
-    # the only CDF left is that of the state measured last.
+    # Eight measured n = 16 states keep their masks alive; in the two-level
+    # form they hold no amplitude array, and the only CDF left is that of
+    # the state measured last.
     n = 16
     tracemalloc.start()
     try:
@@ -356,20 +408,56 @@ def test_measured_states_hold_one_cdf_between_them(rng):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    state_bytes = sum(s.amplitudes.nbytes + s.good_mask.nbytes for s in states)
+    assert all(s.levels is not None for s in states)
+    state_bytes = sum(s.good_mask.nbytes for s in states)
     cdf_bytes = 8 * 2**n
     assert state_bytes + cdf_bytes <= held < state_bytes + cdf_bytes + cdf_bytes // 4
 
 
+def test_measured_two_level_states_hold_under_two_bytes_an_entry(rng):
+    # Reading a two-level state's amplitudes, as a holder checking its norm
+    # does, must not leave an 8-byte-an-entry copy on the state. A dense
+    # state holds 9 bytes an entry.
+    n = 16
+    size = 2**n
+    tracemalloc.start()
+    try:
+        states = []
+        for i in range(8):
+            good = mask(n, rng.choice(size, size=int(rng.integers(1, size // 4)), replace=False))
+            states.append(amplify(init_uniform(n, good), optimal_iterations(n, int(good.sum()))))
+            for _ in range(4):
+                measure(states[-1], rng)
+            amps = states[-1].amplitudes
+            assert float(amps @ amps) == pytest.approx(1.0, abs=1e-9)
+            del amps, good
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (held - 8 * size) / (len(states) * size) < 2.0
+
+
 def test_measured_state_freezes_its_amplitudes(rng):
-    s = amplify(init_uniform(5, mask(5, [3, 17])), 2)
+    # A dense state is writable until its first draw.
+    two_level = amplify(init_uniform(5, mask(5, [3, 17])), 2)
+    s = AmplifiedState(n=5, amplitudes=two_level.amplitudes.copy(), good_mask=two_level.good_mask)
     s.amplitudes[0] = s.amplitudes[0]  # writable before the first measure
     measure(s, rng)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
     # Evolving a measured state still gives a fresh, writable state.
     assert amplify(s, 1).amplitudes.flags.writeable
+    assert grover_iterate(s).amplitudes.flags.writeable
     assert amplify(s, 0) is s
+    # A two-level state's amplitudes are a fresh read-only array on every
+    # read, before and after a draw; its grover_iterate result is dense.
+    for _ in range(2):
+        assert two_level.amplitudes is not two_level.amplitudes
+        with pytest.raises(ValueError):
+            two_level.amplitudes[0] = 0.0
+        measure(two_level, rng)
+    assert grover_iterate(two_level).amplitudes.flags.writeable
+    assert amplify(two_level, 0) is two_level
 
 
 def test_state_cdf_is_not_part_of_its_value(rng):
