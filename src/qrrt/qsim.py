@@ -36,12 +36,13 @@ one, and ``amplify`` keeps that form: it runs the dense path's per-entry
 operations on the two values instead of on 2^n entries, so the bits are the
 same. Such a state is 1 byte an entry instead of 9. Its ``amplitudes`` is
 rebuilt as a fresh read-only array on every read and is not kept: a cached
-copy would bring the 8 bytes an entry back for as long as whoever read it
-holds the state. ``amplify`` still reads 2^n entries once, on such a
-transient array. It takes the class means with the dense path's own
-reductions, ``np.dot(amps, mask)`` and ``amps.sum()``. Those sums depend on
-where the goods sit, and on a uniform start they can miss 2^(-n/2) by an ulp.
-A closed-form mean would then give other bits than the dense path.
+copy would bring the 8 bytes an entry back, for the rest of the state's
+life, as soon as anything read them. ``amplify`` still reads 2^n entries
+once, on such a transient array. It takes the class means with the dense
+path's own reductions, ``np.dot(amps, mask)`` and ``amps.sum()``. Those sums
+depend on where the goods sit, and on a uniform start they can miss
+2^(-n/2) by an ulp. A closed-form mean would then give other bits than the
+dense path.
 
 Oracle-call accounting: each iteration is one oracle call, tracked on the
 state. Measurement samples the Born rule and never changes what the state
@@ -127,11 +128,12 @@ class _Amplitudes:
 
 @dataclass
 class AmplifiedState:
-    """Real statevector plus the good-index mask and per-state call counters.
+    """Real statevector, dense or two-level, plus the good-index mask and call counter.
 
     A state holds no Born-rule CDF: ``measure`` caches one for the state it
     measured last, outside the state, so a draw leaves the state's value
-    and ``repr`` as they were and only makes its amplitudes read-only.
+    and ``repr`` as they were and only makes a dense state's amplitudes
+    read-only.
     States compare equal when n, the call count, the mask and the
     amplitudes are equal, whatever their form.
     """
@@ -158,7 +160,10 @@ class AmplifiedState:
         )
 
 
-def _two_level(n: int, good_mask: np.ndarray, levels: tuple[float, float], oracle_calls: int) -> AmplifiedState:
+def _two_level(
+    n: int, good_mask: np.ndarray, levels: tuple[float, float], oracle_calls: int
+) -> AmplifiedState:
+    """A state whose good entries all hold levels[0] and whose bad ones all hold levels[1]."""
     state = AmplifiedState(n=n, amplitudes=None, good_mask=good_mask, oracle_calls=oracle_calls)
     state.levels = levels
     return state
